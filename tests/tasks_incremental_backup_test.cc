@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/duet/duet_core.h"
+#include "src/obs/obs.h"
 #include "src/util/format.h"
 #include "tests/sim_fixture.h"
 
@@ -158,6 +159,60 @@ TEST_F(IncrementalBackupTest, CreatedFileIsPartOfIncrement) {
   ASSERT_TRUE(finished);
   EXPECT_EQ(inc.stats().work_total, 6u);
   EXPECT_TRUE(inc.IncrementComplete());
+}
+
+// Behaviour lock for a task duetsim cannot reach: today's exact stats,
+// tasks.inc_backup.* counters and task-trace fingerprint for one fixed Duet
+// epoch (flushed changes captured from memory, evicted ones read back in
+// several batches). A refactor must leave every value unchanged; a
+// deliberate behaviour change re-baselines them in its own commit.
+TEST_F(IncrementalBackupTest, PinnedDuetScenario) {
+  obs::ObsContext ctx;
+  obs::ObsScope scope(&ctx);
+  Populate(4, 32);
+  IncrementalBackupConfig config;
+  config.use_duet = true;
+  IncrementalBackup inc(&fs_, &duet_, config);
+  inc.BeginEpoch();
+  rig_.loop.RunUntil(Millis(100));
+  InodeNo f0 = *fs_.ns().Resolve("/f0");
+  InodeNo f2 = *fs_.ns().Resolve("/f2");
+  WriteAndSettle(f0, 0, 12 * kPageSize);
+  SettleAndFlush();
+  rig_.loop.RunUntil(rig_.loop.now() + Millis(100));
+  // Changes evicted before their flush notification is drained: the
+  // end-of-epoch pass must read them from disk.
+  WriteAndSettle(f2, 2 * kPageSize, 28 * kPageSize);
+  fs_.writeback().Sync(nullptr);
+  rig_.loop.RunUntil(rig_.loop.now() + Millis(1));
+  fs_.cache().RemoveInode(f2);
+  bool finished = false;
+  inc.EndEpoch([&] { finished = true; });
+  rig_.loop.Run();
+  ASSERT_TRUE(finished);
+  ASSERT_TRUE(inc.IncrementComplete());
+  const TaskStats& s = inc.stats();
+  EXPECT_EQ(s.work_total, 40u);
+  EXPECT_EQ(s.work_done, 40u);
+  EXPECT_EQ(s.io_read_pages, 28u);
+  EXPECT_EQ(s.io_write_pages, 0u);
+  EXPECT_EQ(s.saved_read_pages, 12u);
+  EXPECT_EQ(s.saved_write_pages, 0u);
+  EXPECT_EQ(s.opportunistic_units, 12u);
+  EXPECT_TRUE(s.finished);
+  EXPECT_EQ(s.started_at, 0u);
+  EXPECT_EQ(s.finished_at, 1402300000u);
+  EXPECT_EQ(inc.pages_captured(), 40u);
+  const char* kCounters[] = {"started", "finished", "chunks",
+                             "fetch_calls", "retries", "repairs"};
+  const uint64_t kExpected[] = {1, 1, 2, 71, 0, 0};
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(ctx.metrics.CounterValue(std::string("tasks.inc_backup.") + kCounters[i]),
+              kExpected[i])
+        << kCounters[i];
+  }
+  EXPECT_EQ(ctx.trace.Fingerprint(), 0x5b62dfcc752caeeaULL);
+  EXPECT_EQ(ctx.trace.events_emitted(), 6u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "src/cowfs/cowfs.h"
 #include "src/duet/duet_core.h"
+#include "src/obs/obs.h"
 #include "src/util/format.h"
 #include "tests/sim_fixture.h"
 
@@ -116,6 +117,60 @@ TEST_F(VirusScannerTest, ScansEachFileOnceDespiteRepeatedHints) {
   rig_.loop.Run();
   ASSERT_TRUE(finished);
   EXPECT_EQ(scanner.files_scanned(), 4u);  // exactly once each
+}
+
+// Behaviour lock for a task duetsim cannot reach: today's exact stats,
+// tasks.virus_scan.* counters and task-trace fingerprint for one fixed Duet
+// scenario (warm files, a foreground reader during the scan, an infected
+// file). A refactor must leave every value unchanged; a deliberate
+// behaviour change re-baselines them in its own commit.
+TEST_F(VirusScannerTest, PinnedDuetScenario) {
+  obs::ObsContext ctx;
+  obs::ObsScope scope(&ctx);
+  Populate(12, 24);
+  for (int i = 3; i < 6; ++i) {
+    InodeNo ino = *fs_.ns().Resolve(StrFormat("/scan/f%d", i));
+    fs_.Read(ino, 0, 24 * kPageSize, IoClass::kBestEffort, nullptr);
+  }
+  rig_.loop.RunUntil(Millis(500));
+  InodeNo victim = *fs_.ns().Resolve("/scan/f9");
+  VirusScannerConfig config;
+  config.root = "/scan";
+  config.use_duet = true;
+  VirusScanner scanner(&fs_, &duet_, config);
+  scanner.AddSignature(*fs_.PageContent(victim, 7));
+  bool finished = false;
+  scanner.Start([&] { finished = true; });
+  InodeNo late = *fs_.ns().Resolve("/scan/f8");
+  rig_.loop.ScheduleAfter(Micros(150), [this, late] {
+    fs_.Read(late, 0, 24 * kPageSize, IoClass::kBestEffort, nullptr);
+  });
+  rig_.loop.Run();
+  ASSERT_TRUE(finished);
+  const TaskStats& s = scanner.stats();
+  EXPECT_EQ(s.work_total, 288u);
+  EXPECT_EQ(s.work_done, 288u);
+  EXPECT_EQ(s.io_read_pages, 192u);
+  EXPECT_EQ(s.io_write_pages, 0u);
+  EXPECT_EQ(s.saved_read_pages, 96u);
+  EXPECT_EQ(s.saved_write_pages, 0u);
+  EXPECT_EQ(s.opportunistic_units, 96u);
+  EXPECT_TRUE(s.finished);
+  EXPECT_EQ(s.started_at, 500000000u);
+  EXPECT_EQ(s.finished_at, 502900000u);
+  EXPECT_EQ(scanner.files_scanned(), 12u);
+  ASSERT_EQ(scanner.infected().size(), 1u);
+  EXPECT_EQ(scanner.infected()[0], victim);
+  const char* kCounters[] = {"started", "finished", "chunks",
+                             "fetch_calls", "retries", "repairs"};
+  const uint64_t kExpected[] = {1, 1, 12, 13, 0, 0};
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(ctx.metrics.CounterValue(std::string("tasks.virus_scan.") + kCounters[i]),
+              kExpected[i])
+        << kCounters[i];
+  }
+  EXPECT_EQ(ctx.trace.Fingerprint(), 0x1c1118604c47eacaULL);
+  EXPECT_EQ(ctx.trace.events_emitted(), 26u);
 }
 
 }  // namespace
