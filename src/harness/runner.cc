@@ -47,6 +47,25 @@ double MaintenanceRunResult::WorkCompletedFraction() const {
          static_cast<double>(work);
 }
 
+namespace {
+
+std::unique_ptr<MaintenanceTask> MakeTask(MaintKind kind, CowRig& rig, bool use_duet) {
+  switch (kind) {
+    case MaintKind::kScrub:
+      return std::make_unique<Scrubber>(&rig.fs(), &rig.duet(),
+                                        ScrubberConfig{.use_duet = use_duet});
+    case MaintKind::kBackup:
+      return std::make_unique<Backup>(&rig.fs(), &rig.duet(),
+                                      BackupConfig{.use_duet = use_duet});
+    case MaintKind::kDefrag:
+      return std::make_unique<DefragTask>(&rig.fs(), &rig.duet(),
+                                          DefragConfig{.use_duet = use_duet});
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
   WorkloadConfig workload = MakeWorkloadConfig(
       config.stack, config.personality, config.coverage, config.skewed,
@@ -93,41 +112,17 @@ MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
     injector->Start();
   }
 
-  // Instantiate the requested maintenance tasks.
-  std::unique_ptr<Scrubber> scrub;
-  std::unique_ptr<Backup> backup;
-  std::unique_ptr<DefragTask> defrag;
+  // Instantiate the requested maintenance tasks, one slot per kind. They
+  // start and stop in MaintKind order (scrub, backup, defrag) whatever order
+  // config.tasks lists them in.
+  std::unique_ptr<MaintenanceTask> tasks[3];
   for (MaintKind kind : config.tasks) {
-    switch (kind) {
-      case MaintKind::kScrub: {
-        ScrubberConfig c;
-        c.use_duet = config.use_duet;
-        scrub = std::make_unique<Scrubber>(&rig.fs(), &rig.duet(), c);
-        break;
-      }
-      case MaintKind::kBackup: {
-        BackupConfig c;
-        c.use_duet = config.use_duet;
-        backup = std::make_unique<Backup>(&rig.fs(), &rig.duet(), c);
-        break;
-      }
-      case MaintKind::kDefrag: {
-        DefragConfig c;
-        c.use_duet = config.use_duet;
-        defrag = std::make_unique<DefragTask>(&rig.fs(), &rig.duet(), c);
-        break;
-      }
+    tasks[static_cast<int>(kind)] = MakeTask(kind, rig, config.use_duet);
+  }
+  for (std::unique_ptr<MaintenanceTask>& task : tasks) {
+    if (task != nullptr) {
+      task->Start();
     }
-  }
-
-  if (scrub != nullptr) {
-    scrub->Start();
-  }
-  if (backup != nullptr) {
-    backup->Start();
-  }
-  if (defrag != nullptr) {
-    defrag->Start();
   }
   if (run_workload) {
     rig.workload().Start();
@@ -144,7 +139,8 @@ MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
     result.fault_stats = injector->stats();
     result.fault_fingerprint = injector->plan().Fingerprint();
   }
-  if (scrub != nullptr) {
+  if (const auto* scrub =
+          static_cast<const Scrubber*>(tasks[static_cast<int>(MaintKind::kScrub)].get())) {
     result.scrub_repaired = scrub->blocks_repaired();
     result.scrub_unrecoverable = scrub->blocks_unrecoverable();
   }
@@ -152,31 +148,16 @@ MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
 
   // Stop tasks first: Stop() finalizes accounting (e.g. the scrubber's
   // done-bitmap-derived savings) before releasing Duet sessions.
-  if (scrub != nullptr) {
-    scrub->Stop();
-  }
-  if (backup != nullptr) {
-    backup->Stop();
-  }
-  if (defrag != nullptr) {
-    defrag->Stop();
+  for (std::unique_ptr<MaintenanceTask>& task : tasks) {
+    if (task != nullptr) {
+      task->Stop();
+    }
   }
   result.all_finished = true;
   for (MaintKind kind : config.tasks) {
-    const TaskStats* stats = nullptr;
-    switch (kind) {
-      case MaintKind::kScrub:
-        stats = &scrub->stats();
-        break;
-      case MaintKind::kBackup:
-        stats = &backup->stats();
-        break;
-      case MaintKind::kDefrag:
-        stats = &defrag->stats();
-        break;
-    }
-    result.task_stats.push_back(*stats);
-    result.all_finished = result.all_finished && stats->finished;
+    const TaskStats& stats = tasks[static_cast<int>(kind)]->stats();
+    result.task_stats.push_back(stats);
+    result.all_finished = result.all_finished && stats.finished;
   }
 
   // Publish end-of-run totals so every reported number can be read back from
@@ -232,7 +213,7 @@ RsyncRunResult RunRsync(const StackConfig& stack, Personality personality,
   (void)dst_dir;
 
   RsyncConfig config;
-  config.use_duet = use_duet;
+  config.hints = use_duet ? RsyncHints::kDuet : RsyncHints::kNone;
   config.source_dir = "/data";
   config.dest_dir = "/backup";
   RsyncTask task(&rig.fs(), &dst_fs, &rig.duet(), config);
