@@ -26,11 +26,18 @@ TEST(MetricsRegistryTest, AbsentCounterReadsZero) {
   EXPECT_EQ(registry.FindCounter("never.registered"), nullptr);
 }
 
+// A kind clash is a programming error: release builds return nullptr, debug
+// builds stop on GetOrCreate's kind assert (metrics.h).
 TEST(MetricsRegistryTest, KindClashReturnsNull) {
   MetricsRegistry registry;
   ASSERT_NE(registry.GetCounter("block.submits"), nullptr);
+#ifdef NDEBUG
   EXPECT_EQ(registry.GetGauge("block.submits"), nullptr);
   EXPECT_EQ(registry.GetHistogram("block.submits"), nullptr);
+#else
+  EXPECT_DEATH(registry.GetGauge("block.submits"), "kind");
+  EXPECT_DEATH(registry.GetHistogram("block.submits"), "kind");
+#endif
   EXPECT_EQ(registry.FindGauge("block.submits"), nullptr);
   // The original registration is untouched.
   EXPECT_NE(registry.FindCounter("block.submits"), nullptr);
