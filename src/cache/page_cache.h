@@ -13,6 +13,21 @@
 // Eviction is LRU over *clean* pages. Writes may transiently push the cache
 // over capacity; the writeback component cleans pages so later evictions can
 // reclaim them (mirroring dirty-ratio behaviour without blocking writers).
+//
+// Recency is kept in three intrusive lists. The global LRU list orders every
+// page by last use. Each page is also on exactly one of a clean list and a
+// dirty list, and each of those is the global order restricted to its class.
+// Eviction therefore takes the clean list's cold end in O(1) and never steps
+// over dirty pages, and writeback walks only the dirty list. Insert, Lookup,
+// MarkDirty and overwrites move a page to the front of its list (a dirtied
+// page moves from the clean to the dirty list), also in O(1). MarkClean does
+// not move the page in the global order: it joins the clean list next to its
+// nearest clean neighbour in the global list, found by walking outward from
+// the page in both directions, so the clean list stays in global order.
+// The page at the global MRU end (just inserted or touched) is never evicted.
+// An eviction advisor, when set, filters the same clean-list walk over a
+// window of the coldest clean pages (see SetEvictionAdvisor); dirty pages
+// never count toward that window.
 #ifndef SRC_CACHE_PAGE_CACHE_H_
 #define SRC_CACHE_PAGE_CACHE_H_
 
@@ -26,6 +41,7 @@
 #include "src/obs/obs.h"
 #include "src/sim/time.h"
 #include "src/util/flat_page_map.h"
+#include "src/util/status.h"
 #include "src/util/types.h"
 
 namespace duet {
@@ -46,6 +62,12 @@ struct PageCacheStats {
   // kFlushed, so the dirtied == flushed + removed_dirty + resident-dirty
   // conservation law needs them accounted separately.
   uint64_t removed_dirty = 0;
+  // Deterministic work counters (not in the metrics registry). Clean-list
+  // entries eviction examined: one per eviction, plus, with an advisor, each
+  // clean page the advisor was asked about.
+  uint64_t eviction_scan_steps = 0;
+  // Global-LRU entries MarkClean walked past to place a page in the clean list.
+  uint64_t clean_place_steps = 0;
 };
 
 class PageCache {
@@ -107,7 +129,8 @@ class PageCache {
       InodeNo ino, const std::function<void(PageIdx, const CachedPage&)>& fn) const;
 
   // Collects up to `max` dirty pages that were dirtied at or before
-  // `not_after`, in LRU order (oldest first). Used by writeback.
+  // `not_after`, in LRU order (oldest first), walking only the dirty list.
+  // Used by writeback.
   struct DirtyPageRef {
     InodeNo ino;
     PageIdx idx;
@@ -123,14 +146,22 @@ class PageCache {
   // ---- Informed replacement (the PACMan-style extension the paper's §2
   // anticipates) ----
   // The advisor returns true for pages that are good eviction victims (e.g.
-  // already processed by every maintenance session). When set, eviction
-  // scans up to `window` LRU-tail entries and evicts advised pages first,
-  // falling back to plain LRU order.
+  // already processed by every maintenance session). It filters the same
+  // clean-list walk plain eviction uses: among the max(`window`, overshoot)
+  // coldest clean pages (dirty pages never count toward the window), advised
+  // pages are evicted first in LRU order, then plain LRU order takes the rest.
   using EvictionAdvisor = std::function<bool(InodeNo, PageIdx)>;
   void SetEvictionAdvisor(EvictionAdvisor advisor, size_t window = 64);
   void ClearEvictionAdvisor();
 
   const PageCacheStats& stats() const { return stats_; }
+
+  // Full structural check, O(pages), independent of NDEBUG: the global LRU
+  // length equals PageCount(), the dirty list length equals DirtyCount(), the
+  // clean and dirty lists partition the live entries, and each is the global
+  // LRU order restricted to its class. Returns kCorruption naming the first
+  // violation found.
+  Status CheckInvariants() const;
 
   // sizeof-accurate heap footprint of the cache index (entry arena, freelist,
   // flat page table, per-inode chain directory).
@@ -139,19 +170,28 @@ class PageCache {
  private:
   static constexpr uint32_t kNoSlot = FlatPageMap::kNoSlot;
 
+  // One intrusive doubly-linked list membership, by arena slot.
+  struct Links {
+    uint32_t newer = kNoSlot;  // toward the MRU end
+    uint32_t older = kNoSlot;  // toward the LRU end
+  };
+  struct RecencyList {
+    uint32_t newest = kNoSlot;
+    uint32_t oldest = kNoSlot;
+  };
   // One cached page. Entries live in a packed arena; the flat page table
-  // maps (inode, index) -> arena slot. LRU and per-inode membership are
-  // intrusive slot-linked lists, so every cache operation is O(1) with no
-  // allocation on the steady path.
+  // maps (inode, index) -> arena slot. LRU, clean/dirty and per-inode
+  // membership are intrusive slot-linked lists, so every cache operation but
+  // MarkClean is O(1), with no allocation on the steady path. A free slot has
+  // ino == kInvalidInode.
   struct Entry {
     InodeNo ino = kInvalidInode;
     PageIdx idx = 0;
     CachedPage page;
-    uint32_t lru_newer = kNoSlot;  // toward MRU
-    uint32_t lru_older = kNoSlot;  // toward LRU tail
+    Links lru;                     // global LRU list
+    Links cls;                     // clean_ or dirty_, by page.dirty
     uint32_t ino_next = kNoSlot;   // per-inode chain, insertion order
     uint32_t ino_prev = kNoSlot;
-    bool live = false;
   };
   // Per-inode chain bookkeeping: head/tail of the intrusive chain plus a
   // count so CachedPagesOfInode is O(1).
@@ -166,18 +206,42 @@ class PageCache {
   void Emit(PageEventType type, InodeNo ino, PageIdx idx, bool exists,
             bool dirty);
   void EvictIfNeeded();
+  // Fills advised_ with the advisor's picks from the clean-list window.
+  void CollectAdvised();
+  // Evicts one clean page: counts it, traces kPageEvicted, then Remove()s it.
+  void Evict(uint32_t slot);
 
   uint32_t FindSlot(InodeNo ino, PageIdx idx) const {
     return page_table_.Find(ino, idx);
   }
   // Commits the arena allocation named by `slot` (peeked before the fused
-  // table probe) and links it (LRU front, inode chain tail). The caller has
-  // already inserted the key into the page table and fills in the payload.
-  void CommitEntry(uint32_t slot, InodeNo ino, PageIdx idx);
+  // table probe) and links it (LRU and class list fronts, inode chain tail).
+  // The caller has already inserted the key into the page table and fills in
+  // the payload other than the dirty bit.
+  void CommitEntry(uint32_t slot, InodeNo ino, PageIdx idx, bool dirty);
   // Unlinks and recycles an entry. The caller has already erased the key
   // from the page table. Does not emit.
   void DestroyEntry(uint32_t slot);
-  void MoveToLruFront(uint32_t slot);
+
+  RecencyList& ClassList(bool dirty) { return dirty ? dirty_ : clean_; }
+  // Links `slot` into `list` (threaded through `kLinks`) right after `older`
+  // toward the newer end; `older == kNoSlot` links it at the oldest end.
+  template <Links Entry::*kLinks>
+  void Link(RecencyList& list, uint32_t slot, uint32_t older);
+  template <Links Entry::*kLinks>
+  void LinkFront(RecencyList& list, uint32_t slot);
+  template <Links Entry::*kLinks>
+  void Unlink(RecencyList& list, uint32_t slot);
+  template <Links Entry::*kLinks>
+  void MoveToFront(RecencyList& list, uint32_t slot);
+  // Moves `slot` to the front of the global list and of its class list.
+  void Touch(uint32_t slot);
+  // Clean->dirty transition of a cached page: switches lists, timestamps
+  // it and emits kDirtied.
+  void SetDirty(uint32_t slot);
+  // Links a page that just became clean into the clean list at its global
+  // recency position (see the file comment).
+  void PlaceClean(uint32_t slot);
 
   uint64_t capacity_;
   std::function<SimTime()> clock_;
@@ -185,13 +249,17 @@ class PageCache {
   std::vector<Entry> arena_;
   std::vector<uint32_t> free_slots_;
   std::unordered_map<InodeNo, InodeChain> inode_chains_;
-  uint32_t lru_head_ = kNoSlot;  // most recently used
-  uint32_t lru_tail_ = kNoSlot;  // coldest
+  RecencyList lru_;    // every page, by last use
+  RecencyList clean_;  // clean pages, in global LRU order
+  RecencyList dirty_;  // dirty pages, in global LRU order
   uint64_t page_count_ = 0;
   uint64_t dirty_count_ = 0;
   std::vector<PageEventListener*> listeners_;
   EvictionAdvisor advisor_;
   size_t advisor_window_ = 64;
+  // Advisor picks for one eviction, all asked before any is evicted; a
+  // member so the steady path does not allocate.
+  std::vector<uint32_t> advised_;
   PageCacheStats stats_;
   obs::ObsContext* obs_;
   // One counter per hook event type, indexed by PageEventType.

@@ -56,6 +56,23 @@ TEST(EvictionAdvisorTest, DirtyPagesNeverAdvisedAway) {
   EXPECT_TRUE(cache.Contains(1, 0));  // dirty survives even though advised
 }
 
+TEST(EvictionAdvisorTest, DirtyLruTailDoesNotStallEviction) {
+  // The advisor window counts clean candidates only: 80 dirty pages at the
+  // LRU tail, more than the 64-page window, must not stop eviction.
+  PageCache cache(100, [] { return SimTime{0}; });
+  cache.SetEvictionAdvisor([](InodeNo, PageIdx) { return false; });
+  for (PageIdx i = 0; i < 80; ++i) {
+    cache.Insert(1, i, i, true);
+  }
+  for (PageIdx i = 0; i < 1000; ++i) {
+    cache.Insert(2, i, i, false);
+  }
+  EXPECT_EQ(cache.PageCount(), 100u);
+  EXPECT_EQ(cache.DirtyCount(), 80u);
+  EXPECT_EQ(cache.stats().evictions, 980u);
+  EXPECT_TRUE(cache.CheckInvariants().ok());
+}
+
 TEST(EvictionAdvisorTest, DuetProcessedByAllSessions) {
   SimRig rig(100'000);
   CowFs fs(&rig.loop, &rig.device, 256);

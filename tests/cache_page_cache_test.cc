@@ -194,5 +194,28 @@ TEST_F(PageCacheTest, ReinsertExistingUpdatesData) {
   EXPECT_EQ(cache_.PageCount(), 1u);
 }
 
+TEST(PageCacheWorkTest, EvictionAndCleanPlacementStepsAreExact) {
+  // 500 dirty pages at the LRU tail: each eviction still examines exactly
+  // one clean-list entry instead of stepping over the dirty run.
+  PageCache cache(1000, [] { return SimTime{0}; });
+  for (PageIdx i = 0; i < 500; ++i) {
+    cache.Insert(1, i, i, true);
+  }
+  for (PageIdx i = 0; i < 10'000; ++i) {
+    cache.Insert(2, i, i, false);
+  }
+  EXPECT_EQ(cache.stats().evictions, 9'500u);
+  EXPECT_EQ(cache.stats().eviction_scan_steps, cache.stats().evictions);
+  EXPECT_EQ(cache.stats().clean_place_steps, 0u);
+  // Cleaning the run oldest-first: the first page walks past the other 499
+  // dirty pages to its nearest clean neighbour; every later one finds the
+  // page cleaned just before it one step older.
+  for (PageIdx i = 0; i < 500; ++i) {
+    ASSERT_TRUE(cache.MarkClean(1, i));
+  }
+  EXPECT_EQ(cache.stats().clean_place_steps, 500u + 499u);
+  EXPECT_TRUE(cache.CheckInvariants().ok());
+}
+
 }  // namespace
 }  // namespace duet

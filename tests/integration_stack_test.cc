@@ -59,6 +59,8 @@ void CheckCowFsInvariants(CowFs& fs, const std::vector<SnapshotId>& snapshots) {
     ++allocated;
   }
   EXPECT_EQ(fs.allocated_blocks(), allocated);
+  Status cache = fs.cache().CheckInvariants();
+  EXPECT_TRUE(cache.ok()) << cache.ToString();
 }
 
 // After a full sync, every allocated block's checksum verifies and every
@@ -160,6 +162,8 @@ TEST(IntegrationStackTest, CowFsSurvivesRandomChurn) {
 // ---- logfs invariants ----
 
 void CheckLogFsInvariants(LogFs& fs) {
+  Status cache = fs.cache().CheckInvariants();
+  EXPECT_TRUE(cache.ok()) << cache.ToString();
   // Sum of per-segment valid counts equals allocated blocks, and every live
   // file mapping points at a valid block owned by that page.
   uint64_t valid_total = 0;
@@ -300,6 +304,8 @@ TEST(IntegrationStackTest, MetricsConservationLawsAtQuiescence) {
   fs.writeback().Sync(nullptr);
   rig.loop.Run();
   ASSERT_EQ(fs.cache().DirtyCount(), 0u);
+  Status cache = fs.cache().CheckInvariants();
+  EXPECT_TRUE(cache.ok()) << cache.ToString();
 
   obs::MetricsSnapshot snap = ctx.metrics.Snapshot();
   // Page conservation: every page ever added was removed or is resident.
