@@ -43,11 +43,7 @@ void CowFs::InjectCorruption(BlockNo block, bool both_copies) {
 }
 
 std::optional<BlockNo> CowFs::FindFreeUnpinned(BlockNo from) const {
-  std::optional<BlockNo> found = allocated_.FindNextClear(from);
-  while (found.has_value() && committed_.Test(*found)) {
-    found = allocated_.FindNextClear(*found + 1);
-  }
-  return found;
+  return allocated_.FindNextClearInBoth(committed_, from, capacity_blocks());
 }
 
 Result<BlockNo> CowFs::AllocBlock(BlockNo hint) {

@@ -11,6 +11,7 @@
 #include "src/fs/meta_codec.h"
 #include "src/obs/obs.h"
 #include "src/util/crc32c.h"
+#include "src/util/format.h"
 
 namespace duet {
 
@@ -61,9 +62,7 @@ uint64_t LogFs::free_segments() const {
 
 std::vector<BlockNo> LogFs::ValidBlocksOf(SegmentNo seg) const {
   std::vector<BlockNo> blocks;
-  BlockNo start = seg * segment_blocks_;
-  BlockNo end = std::min<BlockNo>(start + segment_blocks_, capacity_blocks());
-  for (BlockNo b = start; b < end; ++b) {
+  for (BlockNo b = seg * segment_blocks_; b < SegmentEnd(seg); ++b) {
     if (valid_.Test(b)) {
       blocks.push_back(b);
     }
@@ -90,9 +89,7 @@ std::optional<SegmentNo> LogFs::FindFreeSegment() {
     // A fully-invalidated segment that still holds pinned blocks is
     // "prefree": recovery depends on its content, so it becomes reusable
     // only after the next checkpoint drops the pins.
-    BlockNo start = s * segment_blocks_;
-    BlockNo end = std::min<BlockNo>(start + segment_blocks_, capacity_blocks());
-    if (pinned_.CountRange(start, end) != 0) {
+    if (pinned_.CountRange(s * segment_blocks_, SegmentEnd(s)) != 0) {
       continue;
     }
     // Reset a fully-invalidated segment before reuse.
@@ -102,8 +99,33 @@ std::optional<SegmentNo> LogFs::FindFreeSegment() {
   return std::nullopt;
 }
 
+std::optional<BlockNo> LogFs::FindScatteredHole() {
+  for (SegmentNo s = 0; s < sit_.size(); ++s) {
+    ++scattered_scan_steps_;
+    const SegmentInfo& info = sit_[s];
+    // Valid blocks sit only below the write frontier, so valid >= written
+    // means no invalid block to reuse; skip the segment unread.
+    if (info.valid >= info.written) {
+      continue;
+    }
+    BlockNo start = s * segment_blocks_;
+    BlockNo end = std::min<BlockNo>(start + info.written, capacity_blocks());
+    std::optional<BlockNo> hole = valid_.FindNextClearInBoth(pinned_, start, end);
+    // Words the scan examined: from start's word up to the hole's, or to
+    // the last word of the range when every hole is pinned.
+    scattered_scan_steps_ += (hole.value_or(end - 1) / 64) - (start / 64) + 1;
+    if (hole.has_value()) {
+      return hole;
+    }
+  }
+  return std::nullopt;
+}
+
 Result<BlockNo> LogFs::LogAppend() {
-  if (sit_[open_segment_].written >= segment_blocks_) {
+  // The open segment is full at its end, which for a truncated tail segment
+  // is the end of the device.
+  if (open_segment_ * segment_blocks_ + sit_[open_segment_].written >=
+      SegmentEnd(open_segment_)) {
     std::optional<SegmentNo> next = FindFreeSegment();
     if (next.has_value()) {
       open_segment_ = *next;
@@ -111,31 +133,24 @@ Result<BlockNo> LogFs::LogAppend() {
       // Out of clean segments: overwrite an invalid slot inside some
       // already-written segment (the paper's slow scattered-write mode,
       // §6.2 Garbage collection).
-      for (SegmentNo s = 0; s < sit_.size(); ++s) {
-        BlockNo start = s * segment_blocks_;
-        BlockNo end = std::min<BlockNo>(start + sit_[s].written, capacity_blocks());
-        for (BlockNo b = start; b < end; ++b) {
-          if (!valid_.Test(b) && !pinned_.Test(b)) {
-            ++scattered_writes_;
-            valid_.Set(b);
-            ++sit_[s].valid;
-            sit_[s].mtime = loop_->now();
-            ++allocated_blocks_;
-            if (image_ != nullptr) {
-              pinned_.Set(b);
-            }
-            return b;
-          }
-        }
+      std::optional<BlockNo> hole = FindScatteredHole();
+      if (!hole.has_value()) {
+        return Status(StatusCode::kNoSpace, "logfs full");
       }
-      return Status(StatusCode::kNoSpace, "logfs full");
+      SegmentInfo& info = sit_[SegmentOf(*hole)];
+      ++scattered_writes_;
+      valid_.Set(*hole);
+      ++info.valid;
+      info.mtime = loop_->now();
+      ++allocated_blocks_;
+      if (image_ != nullptr) {
+        pinned_.Set(*hole);
+      }
+      return *hole;
     }
   }
   SegmentInfo& info = sit_[open_segment_];
   BlockNo block = open_segment_ * segment_blocks_ + info.written;
-  if (block >= capacity_blocks()) {
-    return Status(StatusCode::kNoSpace, "logfs tail segment truncated");
-  }
   ++info.written;
   ++info.valid;
   info.mtime = loop_->now();
@@ -579,7 +594,7 @@ FsckReport LogFs::CheckConsistency() const {
   uint64_t valid_count = 0;
   for (SegmentNo s = 0; s < sit_.size(); ++s) {
     BlockNo start = s * segment_blocks_;
-    BlockNo end = std::min<BlockNo>(start + segment_blocks_, capacity_blocks());
+    BlockNo end = SegmentEnd(s);
     uint64_t in_seg = valid_.CountRange(start, end);
     valid_count += in_seg;
     if (sit_[s].valid != in_seg || sit_[s].written > segment_blocks_) {
@@ -622,6 +637,34 @@ FsckReport LogFs::CheckConsistency() const {
                                 report.structural_errors, report.checksum_errors,
                                 report.blocks_checked);
   return report;
+}
+
+Status LogFs::CheckInvariants() const {
+  uint64_t valid_total = 0;
+  for (SegmentNo s = 0; s < sit_.size(); ++s) {
+    const SegmentInfo& info = sit_[s];
+    BlockNo start = s * segment_blocks_;
+    BlockNo end = SegmentEnd(s);
+    uint64_t in_seg = valid_.CountRange(start, end);
+    if (info.valid != in_seg) {
+      return Status(StatusCode::kCorruption,
+                    StrFormat("logfs: segment %llu counts %u valid blocks, bitmap has %llu",
+                              static_cast<unsigned long long>(s), info.valid,
+                              static_cast<unsigned long long>(in_seg)));
+    }
+    if (start + info.written > end || valid_.CountRange(start + info.written, end) != 0) {
+      return Status(StatusCode::kCorruption,
+                    StrFormat("logfs: segment %llu has a valid block at or beyond its "
+                              "write frontier %u",
+                              static_cast<unsigned long long>(s), info.written));
+    }
+    valid_total += in_seg;
+  }
+  if (valid_total != allocated_blocks_) {
+    return Status(StatusCode::kCorruption,
+                  "logfs: valid blocks differ from the allocated-block count");
+  }
+  return Status::Ok();
 }
 
 double GcCostBaseline(const SegmentInfo& info, uint32_t segment_blocks, SimTime now) {

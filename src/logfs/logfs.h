@@ -12,6 +12,7 @@
 #ifndef SRC_LOGFS_LOGFS_H_
 #define SRC_LOGFS_LOGFS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -66,9 +67,14 @@ class LogFs : public FileSystem {
 
   // ---- Segment info table ----
   const SegmentInfo& segment(SegmentNo seg) const { return sit_[seg]; }
+  SegmentNo open_segment() const { return open_segment_; }
   bool BlockValid(BlockNo block) const { return valid_.Test(block); }
   uint64_t free_segments() const;
   uint64_t scattered_writes() const { return scattered_writes_; }
+  // Work done by scattered-mode searches: segments visited plus bitmap
+  // words examined. Deterministic, so tests can pin it exactly; not in the
+  // metrics registry.
+  uint64_t scattered_scan_steps() const { return scattered_scan_steps_; }
 
   // Valid blocks of a segment, ascending.
   std::vector<BlockNo> ValidBlocksOf(SegmentNo seg) const;
@@ -113,6 +119,11 @@ class LogFs : public FileSystem {
   // constructed file system.
   void Mount(std::function<void(const MountReport&)> cb) override;
   FsckReport CheckConsistency() const override;
+  // Cheap allocator invariants, checked in every build type and silent in
+  // the trace: each segment's SIT valid count equals its valid bits, no
+  // valid bit sits at or beyond the write frontier, and the valid total is
+  // allocated_blocks(). Returns the first violation.
+  Status CheckInvariants() const;
   uint64_t checkpoint_generation() const { return checkpoint_generation_; }
   // True if recovery still depends on this block's current content.
   bool PinnedBlock(BlockNo block) const { return pinned_.Test(block); }
@@ -126,11 +137,21 @@ class LogFs : public FileSystem {
   uint32_t StoredChecksum(BlockNo block) const override { return disk_csum_[block]; }
 
  private:
+  // One past a segment's last block: the device end for a truncated tail.
+  BlockNo SegmentEnd(SegmentNo seg) const {
+    return std::min<BlockNo>((seg + 1) * segment_blocks_, capacity_blocks());
+  }
   // Next block at the log head; opens a new segment when the current one
   // fills, falling back to scattered overwrites when no segment is free.
-  // With a durable image attached, blocks recovery depends on (pinned_) are
-  // never handed out, and every block handed out is pinned in turn.
+  // Scattered mode picks the lowest invalid, unpinned block in segment
+  // order; segments whose SIT counts show no invalid block are skipped
+  // without reading their bits. With a durable image attached, blocks
+  // recovery depends on (pinned_) are never handed out, and every block
+  // handed out is pinned in turn.
   Result<BlockNo> LogAppend();
+  // Scattered mode's search: the lowest block below some segment's write
+  // frontier that is neither valid nor pinned, scanned a word at a time.
+  std::optional<BlockNo> FindScatteredHole();
   void Invalidate(BlockNo block);
   std::optional<SegmentNo> FindFreeSegment();
   std::vector<uint8_t> SerializeCheckpoint() const;
@@ -145,6 +166,7 @@ class LogFs : public FileSystem {
   std::vector<uint32_t> disk_csum_;  // block -> CRC32C of stored token
   SegmentNo open_segment_ = 0;  // current log head segment
   uint64_t scattered_writes_ = 0;
+  uint64_t scattered_scan_steps_ = 0;
   uint64_t checksum_errors_detected_ = 0;
   // Union of the last checkpoint's referenced blocks and every block
   // written since; cleared down to the then-valid set at each checkpoint.

@@ -28,21 +28,6 @@ void Bitmap::Resize(uint64_t num_bits) {
   words_.assign(WordCount(num_bits), 0);
 }
 
-void Bitmap::Set(uint64_t bit) {
-  assert(bit < num_bits_);
-  words_[bit / kWordBits] |= 1ULL << (bit % kWordBits);
-}
-
-void Bitmap::Clear(uint64_t bit) {
-  assert(bit < num_bits_);
-  words_[bit / kWordBits] &= ~(1ULL << (bit % kWordBits));
-}
-
-bool Bitmap::Test(uint64_t bit) const {
-  assert(bit < num_bits_);
-  return (words_[bit / kWordBits] >> (bit % kWordBits)) & 1;
-}
-
 void Bitmap::SetRange(uint64_t begin, uint64_t end) {
   assert(begin <= end && end <= num_bits_);
   for (uint64_t w = begin / kWordBits; w <= (end ? (end - 1) / kWordBits : 0) && begin < end;
@@ -121,6 +106,30 @@ std::optional<uint64_t> Bitmap::FindNextClear(uint64_t from) const {
       return std::nullopt;
     }
     word = ~words_[w];
+  }
+}
+
+std::optional<uint64_t> Bitmap::FindNextClearInBoth(const Bitmap& other, uint64_t from,
+                                                    uint64_t end) const {
+  assert(end <= num_bits_ && end <= other.num_bits_);
+  if (from >= end) {
+    return std::nullopt;
+  }
+  uint64_t w = from / kWordBits;
+  uint64_t last = (end - 1) / kWordBits;
+  uint64_t word = ~(words_[w] | other.words_[w]) & ~((1ULL << (from % kWordBits)) - 1);
+  while (true) {
+    if (word != 0) {
+      uint64_t bit = w * kWordBits + static_cast<uint64_t>(std::countr_zero(word));
+      if (bit < end) {
+        return bit;
+      }
+      return std::nullopt;
+    }
+    if (++w > last) {
+      return std::nullopt;
+    }
+    word = ~(words_[w] | other.words_[w]);
   }
 }
 

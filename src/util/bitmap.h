@@ -2,6 +2,7 @@
 #ifndef SRC_UTIL_BITMAP_H_
 #define SRC_UTIL_BITMAP_H_
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -17,9 +18,19 @@ class Bitmap {
 
   uint64_t size() const { return num_bits_; }
 
-  void Set(uint64_t bit);
-  void Clear(uint64_t bit);
-  bool Test(uint64_t bit) const;
+  // Inline: logfs and cowfs call these once per block on their hot paths.
+  void Set(uint64_t bit) {
+    assert(bit < num_bits_);
+    words_[bit / 64] |= 1ULL << (bit % 64);
+  }
+  void Clear(uint64_t bit) {
+    assert(bit < num_bits_);
+    words_[bit / 64] &= ~(1ULL << (bit % 64));
+  }
+  bool Test(uint64_t bit) const {
+    assert(bit < num_bits_);
+    return (words_[bit / 64] >> (bit % 64)) & 1;
+  }
 
   // Sets or clears [begin, end).
   void SetRange(uint64_t begin, uint64_t end);
@@ -33,6 +44,10 @@ class Bitmap {
   // First set (or clear) bit at or after `from`, or nullopt.
   std::optional<uint64_t> FindNextSet(uint64_t from) const;
   std::optional<uint64_t> FindNextClear(uint64_t from) const;
+  // First bit in [from, end) that is clear both here and in `other`, or
+  // nullopt; scans a word at a time. `other` must be at least `end` bits.
+  std::optional<uint64_t> FindNextClearInBoth(const Bitmap& other, uint64_t from,
+                                              uint64_t end) const;
 
   bool AllClear() const;
   bool AllSet() const;

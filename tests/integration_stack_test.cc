@@ -164,6 +164,8 @@ TEST(IntegrationStackTest, CowFsSurvivesRandomChurn) {
 void CheckLogFsInvariants(LogFs& fs) {
   Status cache = fs.cache().CheckInvariants();
   EXPECT_TRUE(cache.ok()) << cache.ToString();
+  Status logfs = fs.CheckInvariants();
+  EXPECT_TRUE(logfs.ok()) << logfs.ToString();
   // Sum of per-segment valid counts equals allocated blocks, and every live
   // file mapping points at a valid block owned by that page.
   uint64_t valid_total = 0;

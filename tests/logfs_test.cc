@@ -207,6 +207,58 @@ TEST_F(LogFsTest, ScatteredWritesWhenNoFreeSegments) {
   EXPECT_TRUE(fs_.Bmap(f0, 0).ok());
 }
 
+TEST(LogFsScatteredScanTest, StepsAreExactForOneHoleInTheLastSegment) {
+  // 16 segments of 256 blocks, all written; the only hole is at offset 200
+  // of the last segment. The search visits all 16 segments, reads the SIT
+  // counts of the first 15 only, and examines the last segment's words up
+  // to the hole: 16 + (200 / 64 + 1) = 20 steps. A bit-by-bit scan from
+  // block 0 would test 4,040 blocks.
+  SimRig rig(4096);
+  LogFs fs(&rig.loop, &rig.device, /*cache_pages=*/64, /*segment_blocks=*/256);
+  const BlockNo hole = 15 * 256 + 200;
+  ASSERT_TRUE(fs.PopulateFile("/head", hole * kPageSize).ok());
+  Result<InodeNo> gap = fs.PopulateFile("/gap", kPageSize);
+  ASSERT_TRUE(fs.PopulateFile("/tail", (4096 - hole - 1) * kPageSize).ok());
+  ASSERT_EQ(*fs.Bmap(*gap, 0), hole);
+  ASSERT_EQ(fs.allocated_blocks(), 4096u);
+  ASSERT_TRUE(fs.DeleteFile(*gap).ok());
+  EXPECT_EQ(fs.scattered_scan_steps(), 0u);
+
+  Result<InodeNo> fresh = fs.PopulateFile("/fresh", kPageSize);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(*fs.Bmap(*fresh, 0), hole);
+  EXPECT_EQ(fs.scattered_writes(), 1u);
+  EXPECT_EQ(fs.scattered_scan_steps(), 20u);
+  EXPECT_LE(fs.scattered_scan_steps(), fs.segment_count() + fs.segment_blocks() / 64);
+  EXPECT_TRUE(fs.CheckInvariants().ok());
+
+  // Full again: the next search visits every segment, reads no bitmap word
+  // and fails.
+  EXPECT_FALSE(fs.PopulateFile("/full", kPageSize).ok());
+  EXPECT_EQ(fs.scattered_scan_steps(), 20u + 16u);
+}
+
+TEST(LogFsScatteredScanTest, TruncatedTailSegmentIsFullAtTheDeviceEnd) {
+  // 1,000 blocks in 64-block segments: 15 full segments and a 40-block tail.
+  // Once the tail is full the allocator must move on like for any full
+  // segment, not stall on the device end.
+  SimRig rig(1000);
+  LogFs fs(&rig.loop, &rig.device, /*cache_pages=*/64, /*segment_blocks=*/64);
+  ASSERT_EQ(fs.segment_count(), 16u);
+  Result<InodeNo> a = fs.PopulateFile("/a", 500 * kPageSize);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(fs.PopulateFile("/b", 500 * kPageSize).ok());
+  EXPECT_EQ(fs.open_segment(), 15u);
+  EXPECT_EQ(fs.segment(15).written, 40u);
+  ASSERT_TRUE(fs.DeleteFile(*a).ok());
+  // Segments 0-6 are now free: the log head moves to segment 0.
+  Result<InodeNo> c = fs.PopulateFile("/c", kPageSize);
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(*fs.Bmap(*c, 0), 0u);
+  EXPECT_EQ(fs.scattered_writes(), 0u);
+  EXPECT_TRUE(fs.CheckInvariants().ok());
+}
+
 TEST_F(LogFsTest, CleaningRacesWithForegroundWrites) {
   InodeNo ino = MakeFile("/f", 16);
   WriteSync(ino, 0, 8 * kPageSize);

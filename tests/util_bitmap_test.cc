@@ -280,5 +280,114 @@ TEST(BitmapTest, NonWordMultipleSizeTailBitsStayClean) {
   EXPECT_EQ(b.FindNextClear(0), std::optional<uint64_t>(99));
 }
 
+// ---- FindNextClearInBoth ----
+// The allocators' free-slot scan: first bit in [from, end) clear in both
+// bitmaps. Bit-by-bit reference for the property test below.
+std::optional<uint64_t> NaiveClearInBoth(const Bitmap& a, const Bitmap& b, uint64_t from,
+                                         uint64_t end) {
+  for (uint64_t i = from; i < end; ++i) {
+    if (!a.Test(i) && !b.Test(i)) {
+      return i;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(BitmapTest, FindNextClearInBothEmptyRange) {
+  Bitmap a(200);
+  Bitmap b(200);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 0, 0), std::nullopt);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 70, 70), std::nullopt);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 200, 200), std::nullopt);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 90, 80), std::nullopt);  // from past end
+}
+
+TEST(BitmapTest, FindNextClearInBothNeedsBothClear) {
+  Bitmap a(130);
+  Bitmap b(130);
+  a.SetRange(0, 130);
+  b.SetRange(0, 130);
+  a.Clear(10);   // clear in a only
+  b.Clear(20);   // clear in b only
+  a.Clear(100);  // clear in both
+  b.Clear(100);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 0, 130), std::optional<uint64_t>(100));
+  EXPECT_EQ(b.FindNextClearInBoth(a, 0, 130), std::optional<uint64_t>(100));
+  EXPECT_EQ(a.FindNextClearInBoth(b, 0, 100), std::nullopt);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 100, 101), std::optional<uint64_t>(100));
+  EXPECT_EQ(a.FindNextClearInBoth(b, 101, 130), std::nullopt);
+}
+
+TEST(BitmapTest, FindNextClearInBothMidWordBounds) {
+  // from and end inside one word, and inside different words.
+  Bitmap a(256);
+  Bitmap b(256);
+  a.SetRange(0, 256);
+  a.Clear(5);
+  a.Clear(40);
+  a.Clear(150);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 3, 40), std::optional<uint64_t>(5));
+  EXPECT_EQ(a.FindNextClearInBoth(b, 6, 40), std::nullopt);   // 40 excluded
+  EXPECT_EQ(a.FindNextClearInBoth(b, 6, 41), std::optional<uint64_t>(40));
+  EXPECT_EQ(a.FindNextClearInBoth(b, 41, 150), std::nullopt);  // across words
+  EXPECT_EQ(a.FindNextClearInBoth(b, 41, 151), std::optional<uint64_t>(150));
+  b.Set(150);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 41, 256), std::nullopt);
+}
+
+TEST(BitmapTest, FindNextClearInBothEndOnWordSeam) {
+  Bitmap a(192);
+  Bitmap b(192);
+  a.SetRange(0, 192);
+  a.Clear(127);  // last bit before the seam
+  a.Clear(128);  // first bit after it
+  EXPECT_EQ(a.FindNextClearInBoth(b, 64, 127), std::nullopt);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 64, 128), std::optional<uint64_t>(127));
+  b.Set(127);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 64, 128), std::nullopt);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 64, 129), std::optional<uint64_t>(128));
+  EXPECT_EQ(a.FindNextClearInBoth(b, 128, 192), std::optional<uint64_t>(128));
+}
+
+TEST(BitmapTest, FindNextClearInBothNonWordMultipleSize) {
+  // Slack bits past size() in the last word read as clear; end <= size()
+  // must keep the scan from returning them.
+  Bitmap a(100);
+  Bitmap b(100);
+  a.SetRange(0, 100);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 0, 100), std::nullopt);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 99, 100), std::nullopt);
+  a.Clear(99);
+  EXPECT_EQ(a.FindNextClearInBoth(b, 64, 100), std::optional<uint64_t>(99));
+  EXPECT_EQ(a.FindNextClearInBoth(b, 64, 99), std::nullopt);
+}
+
+class FindNextClearInBothPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FindNextClearInBothPropertyTest, MatchesBitByBitScan) {
+  Rng rng(GetParam());
+  const uint64_t n = 1 + rng.Uniform(700);
+  Bitmap a(n);
+  Bitmap b(n);
+  // Dense bitmaps, so the scan has to cross many all-set words.
+  for (uint64_t i = 0; i < n; ++i) {
+    if (rng.Uniform(100) < 93) {
+      a.Set(i);
+    }
+    if (rng.Uniform(100) < 50) {
+      b.Set(i);
+    }
+  }
+  for (int query = 0; query < 400; ++query) {
+    uint64_t from = rng.Uniform(n + 1);
+    uint64_t end = from + rng.Uniform(n + 1 - from);
+    ASSERT_EQ(a.FindNextClearInBoth(b, from, end), NaiveClearInBoth(a, b, from, end))
+        << "n=" << n << " from=" << from << " end=" << end;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FindNextClearInBothPropertyTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
+
 }  // namespace
 }  // namespace duet
