@@ -63,6 +63,11 @@ void CheckCowFsInvariants(CowFs& fs, const std::vector<SnapshotId>& snapshots) {
   EXPECT_TRUE(cache.ok()) << cache.ToString();
 }
 
+void CheckDuetInvariants(const DuetCore& duet) {
+  Status status = duet.CheckInvariants();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 // After a full sync, every allocated block's checksum verifies and every
 // page's content matches the disk.
 void CheckChecksumIntegrity(CowFs& fs) {
@@ -86,6 +91,9 @@ TEST(IntegrationStackTest, CowFsSurvivesRandomChurn) {
   // A couple of passive sessions so hook paths run throughout.
   SessionId block_sid = *duet.RegisterBlockTask(kDuetPageExists | kDuetPageModified);
   SessionId file_sid = *duet.RegisterFileTask("/", kDuetPageAdded | kDuetPageDirtied);
+  // And a backup-shaped one that marks every fetched block done, so skipped
+  // events for done items run against rewrites, deletes and defrag moves.
+  SessionId done_sid = *duet.RegisterBlockTask(kDuetPageExists);
 
   std::vector<InodeNo> files;
   std::vector<SnapshotId> snapshots;
@@ -144,8 +152,14 @@ TEST(IntegrationStackTest, CowFsSurvivesRandomChurn) {
       (void)duet.Fetch(block_sid, 4096);
       (void)duet.Fetch(file_sid, 4096);
     }
+    if (Result<std::vector<DuetItem>> items = duet.Fetch(done_sid, 4096); items.ok()) {
+      for (const DuetItem& item : *items) {
+        ASSERT_TRUE(duet.SetDone(done_sid, item.id).ok());
+      }
+    }
     rig.loop.RunUntil(rig.loop.now() + Millis(200));
     CheckCowFsInvariants(fs, snapshots);
+    CheckDuetInvariants(duet);
     // Cache invariants.
     EXPECT_LE(fs.cache().DirtyCount(), fs.cache().PageCount());
   }
@@ -156,6 +170,7 @@ TEST(IntegrationStackTest, CowFsSurvivesRandomChurn) {
   EXPECT_EQ(fs.cache().DirtyCount(), 0u);
   CheckChecksumIntegrity(fs);
   CheckCowFsInvariants(fs, snapshots);
+  CheckDuetInvariants(duet);
   EXPECT_EQ(fs.checksum_errors_detected(), 0u);
 }
 
@@ -308,6 +323,7 @@ TEST(IntegrationStackTest, MetricsConservationLawsAtQuiescence) {
   ASSERT_EQ(fs.cache().DirtyCount(), 0u);
   Status cache = fs.cache().CheckInvariants();
   EXPECT_TRUE(cache.ok()) << cache.ToString();
+  CheckDuetInvariants(duet);
 
   obs::MetricsSnapshot snap = ctx.metrics.Snapshot();
   // Page conservation: every page ever added was removed or is resident.
