@@ -1,7 +1,8 @@
 // Perf-regression harness for the stack's hot paths.
 //
 // Runs a fixed set of seconds-scale measurements — hand-timed hook-dispatch
-// loops (the micro_duet_hooks scenarios), a fig02-style scrub run, and a
+// loops (the micro_duet_hooks scenarios plus a state session that marks
+// every fetched item done under churn), a fig02-style scrub run, and a
 // table6-style GC run — and writes the results as JSON. It exits non-zero if
 // any measurement recorded 0 operations:
 //
@@ -9,10 +10,11 @@
 //
 // Each measurement records operations executed, wall-clock milliseconds,
 // derived ops/sec, and (where meaningful) the peak descriptor-arena bytes
-// observed. tools/perf_compare.py diffs two such files and fails on
-// regression; CI runs it against the checked-in bench/BENCH_hotpath.json
-// baseline (refresh the baseline with --out bench/BENCH_hotpath.json after
-// intentional perf changes).
+// observed. tools/perf_compare.py diffs two such files and fails on a
+// wall-clock regression or on any growth of the peak descriptor bytes (a
+// deterministic, host-independent number); CI runs it against the
+// checked-in bench/BENCH_hotpath.json baseline (refresh the baseline with
+// --out bench/BENCH_hotpath.json after intentional perf changes).
 //
 // The simulated work is deterministic (fixed seeds); only the wall-clock
 // numbers vary run to run, which is exactly what the harness is gating.
@@ -109,6 +111,43 @@ Measurement MeasureHookDispatchSixteenSessions(uint64_t iters) {
     }
   }
   Measurement m{"hook_dispatch_sixteen_sessions", iters, MsSince(start)};
+  m.peak_descriptor_bytes = peak;
+  return m;
+}
+
+// A Backup-shaped state session under churn: pages enter the cache in order,
+// each leaves 1024 insertions later, and every 256 insertions the session
+// fetches and marks every item done. Each page is inserted once, so every
+// eviction hits a done item; the descriptor store must stay at the cached
+// window instead of keeping one descriptor per page ever seen.
+Measurement MeasureStateSessionMarkingDone(uint64_t iters) {
+  constexpr uint64_t kWindow = 1024;
+  SimRig sim(1'000'000, Micros(1));
+  CowFs fs(&sim.loop, &sim.device, 1 << 16);
+  DuetCore duet(&fs);
+  InodeNo ino = *fs.PopulateFile("/f", iters * kPageSize);
+  SessionId sid = *duet.RegisterBlockTask(kDuetPageExists);
+  uint64_t peak = 0;
+  uint64_t done = 0;
+  auto start = Clock::now();
+  for (uint64_t i = 0; i < iters; ++i) {
+    fs.cache().Insert(ino, i, i + 1, false);
+    if (i >= kWindow) {
+      fs.cache().Remove(ino, i - kWindow);
+    }
+    if ((i + 1) % 256 == 0) {
+      peak = std::max(peak, duet.DescriptorMemoryBytes());
+      Result<std::vector<DuetItem>> items = duet.Fetch(sid, 1 << 14);
+      if (items.ok()) {
+        for (const DuetItem& item : *items) {
+          done += duet.SetDone(sid, item.id).ok() ? 1 : 0;
+        }
+      }
+    }
+  }
+  // Insert + remove hook events; 0 if the session never marked anything.
+  Measurement m{"state_session_marking_done",
+                done == 0 ? 0 : 2 * iters - kWindow, MsSince(start)};
   m.peak_descriptor_bytes = peak;
   return m;
 }
@@ -254,6 +293,7 @@ int main(int argc, char** argv) {
   ms.push_back(best([] { return MeasureHookDispatchNoSessions(400'000); }));
   ms.push_back(best([] { return MeasureHookDispatchOneEventSession(200'000); }));
   ms.push_back(best([] { return MeasureHookDispatchSixteenSessions(200'000); }));
+  ms.push_back(best([] { return MeasureStateSessionMarkingDone(200'000); }));
   // Enough batches that the timed Fetch region is tens of ms — sub-ms
   // measurements can't be gated at 25% on a shared host.
   ms.push_back(best([] { return MeasureFetchBatch(20'000, 256); }));

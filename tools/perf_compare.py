@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Compare two perf_runner JSON outputs and fail on wall-clock regression.
+"""Compare two perf_runner JSON outputs and fail on regression.
 
 Usage: perf_compare.py BASELINE.json CURRENT.json [--tolerance 0.25]
 
-For every measurement present in both files, the wall-clock time may grow by
-at most `tolerance` (default 25%) relative to the baseline. Measurements that
-got faster, or that exist on only one side, never fail the check (new
-measurements start gating once they land in the refreshed baseline).
+For every measurement present in both files:
+  * the wall-clock time may grow by at most `tolerance` (default 25%)
+    relative to the baseline;
+  * `peak_descriptor_bytes` may not grow at all. The simulated work is
+    deterministic, so this number is the same on every host and any growth
+    is a change in the code (for example, descriptors that are never freed).
+
+Measurements that got faster or smaller, or that exist on only one side,
+never fail the check (new measurements start gating once they land in the
+refreshed baseline).
 
 Wall-clock on shared CI runners is noisy; the default tolerance is chosen so
 only a real hot-path regression (not scheduler jitter) trips it. Refresh the
@@ -44,11 +50,17 @@ def main():
             rows.append((name, b["wall_ms"], None, None, "missing (skipped)"))
             continue
         ratio = c["wall_ms"] / b["wall_ms"] if b["wall_ms"] > 0 else 1.0
-        verdict = "ok"
+        problems = []
         if ratio > 1.0 + args.tolerance:
-            verdict = "REGRESSION"
+            problems.append("REGRESSION")
+        b_bytes = b.get("peak_descriptor_bytes", 0)
+        c_bytes = c.get("peak_descriptor_bytes", 0)
+        if c_bytes > b_bytes:
+            problems.append(f"DESCRIPTOR BYTES {b_bytes} -> {c_bytes}")
+        if problems:
             failures.append(name)
-        rows.append((name, b["wall_ms"], c["wall_ms"], ratio, verdict))
+        rows.append((name, b["wall_ms"], c["wall_ms"], ratio,
+                     ", ".join(problems) or "ok"))
     for name in cur:
         if name not in base:
             rows.append((name, None, cur[name]["wall_ms"], None, "new (not gated)"))
@@ -61,10 +73,11 @@ def main():
         print(f"{name:38} {b_s:>10} {c_s:>10} {r_s:>7}  {verdict}")
 
     if failures:
-        print(f"\nFAIL: {len(failures)} measurement(s) regressed more than "
-              f"{args.tolerance * 100:.0f}%: {', '.join(failures)}")
+        print(f"\nFAIL: {len(failures)} measurement(s) regressed (wall-clock "
+              f"beyond {args.tolerance * 100:.0f}% or peak descriptor bytes "
+              f"grown): {', '.join(failures)}")
         return 1
-    print("\nOK: no wall-clock regression beyond tolerance")
+    print("\nOK: no wall-clock regression beyond tolerance, no descriptor growth")
     return 0
 
 
