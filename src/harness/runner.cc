@@ -47,8 +47,6 @@ double MaintenanceRunResult::WorkCompletedFraction() const {
          static_cast<double>(work);
 }
 
-namespace {
-
 std::unique_ptr<MaintenanceTask> MakeTask(MaintKind kind, CowRig& rig, bool use_duet) {
   switch (kind) {
     case MaintKind::kScrub:
@@ -63,8 +61,6 @@ std::unique_ptr<MaintenanceTask> MakeTask(MaintKind kind, CowRig& rig, bool use_
   }
   return nullptr;
 }
-
-}  // namespace
 
 MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
   WorkloadConfig workload = MakeWorkloadConfig(

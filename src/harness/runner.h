@@ -4,6 +4,7 @@
 #ifndef SRC_HARNESS_RUNNER_H_
 #define SRC_HARNESS_RUNNER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,10 @@ namespace duet {
 enum class MaintKind { kScrub, kBackup, kDefrag };
 
 const char* MaintKindName(MaintKind kind);
+
+// Builds the maintenance task `kind` on `rig`'s file system and Duet, with
+// the default task config (as RunMaintenance does).
+std::unique_ptr<MaintenanceTask> MakeTask(MaintKind kind, CowRig& rig, bool use_duet);
 
 struct MaintenanceRunConfig {
   StackConfig stack;
