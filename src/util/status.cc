@@ -1,5 +1,8 @@
 #include "src/util/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace duet {
 
 const char* StatusCodeName(StatusCode code) {
@@ -28,6 +31,12 @@ const char* StatusCodeName(StatusCode code) {
       return "IO_ERROR";
   }
   return "UNKNOWN";
+}
+
+void DieOnValueOfError(const Status& status) {
+  std::fprintf(stderr, "Result::value() on an error result: %s\n",
+               status.ToString().c_str());
+  std::abort();
 }
 
 bool IsTransient(const Status& status) {

@@ -36,6 +36,10 @@ bool IsTransient(const Status& status);
 // Human-readable name for a status code, for logs and test failures.
 const char* StatusCodeName(StatusCode code);
 
+// Prints the status of an error Result whose value was accessed, then
+// aborts. Out of line so the check in Result::value() stays small.
+[[noreturn]] void DieOnValueOfError(const Status& status);
+
 class Status {
  public:
   Status() : code_(StatusCode::kOk) {}
@@ -68,7 +72,8 @@ class Status {
 };
 
 // Result<T> is either a value or an error status. Accessing the value of an
-// error result is a programming bug (asserted).
+// error result is a programming bug: it aborts with the status code name in
+// every build type.
 template <typename T>
 class Result {
  public:
@@ -84,11 +89,15 @@ class Result {
   const Status& status() const { return status_; }
 
   T& value() {
-    assert(ok());
+    if (!ok()) [[unlikely]] {
+      DieOnValueOfError(status_);
+    }
     return *value_;
   }
   const T& value() const {
-    assert(ok());
+    if (!ok()) [[unlikely]] {
+      DieOnValueOfError(status_);
+    }
     return *value_;
   }
   T& operator*() { return value(); }
