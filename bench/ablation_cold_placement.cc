@@ -27,19 +27,13 @@ int main(int argc, char** argv) {
           MakeWorkloadConfig(stack, Personality::kWebserver, 0.5, false, 0, 42);
       base.cluster_covered = clustered;
       const CalibratedRate& rate = rates.Get(stack, base, util);
-      MaintenanceRunConfig config;
-      config.stack = stack;
-      config.personality = Personality::kWebserver;
-      config.coverage = 0.5;
-      config.target_util = util;
-      config.ops_per_sec = rate.unthrottled ? 0 : rate.ops_per_sec;
-      config.unthrottled = rate.unthrottled;
-      config.tasks = {MaintKind::kScrub};
-      config.use_duet = true;
-      // RunMaintenance builds its own workload config; clustering is set via
-      // the coverage/cluster knob below.
+      // RunMaintenance builds its own workload config without the cluster
+      // knob, so this row builds its stack directly.
       WorkloadConfig workload = base;
-      workload.ops_per_sec = config.unthrottled ? 0 : config.ops_per_sec;
+      workload.ops_per_sec = rate.unthrottled ? 0 : rate.ops_per_sec;
+      // A fresh context per row, so its counters cover this stack only.
+      obs::ObsContext obs_ctx;
+      obs::ObsScope obs_scope(&obs_ctx);
       CowRig rig(stack, workload);
       ScrubberConfig sc;
       sc.use_duet = true;
@@ -55,7 +49,9 @@ int main(int argc, char** argv) {
                          : 0;
       table.AddRow({Pct(util), clustered ? "clustered" : "interleaved", Pct(saved),
                     stats.finished ? "yes" : "no",
-                    Num(static_cast<double>(rig.workload().stats().ops_completed), 0)});
+                    Num(static_cast<double>(
+                            obs_ctx.metrics.CounterValue("workload.ops.completed")),
+                        0)});
       scrub.Stop();
       fflush(stdout);
     }

@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
       MaintenanceRunResult result = RunMaintenance(config);
       const TaskStats& scrub = result.task_stats[0];
       table.AddRow({Pct(util), name, Pct(result.IoSavedFraction()),
-                    Num(static_cast<double>(result.workload_ops), 0),
+                    Num(static_cast<double>(result.metrics.Value("workload.ops.completed")),
+                        0),
                     Num(result.workload_latency_ms, 2),
                     scrub.finished ? Num(ToSeconds(scrub.finished_at), 1)
                                    : std::string("DNF")});

@@ -48,7 +48,8 @@ int main() {
     printf("  combined: %.0f%% of maintenance I/O saved, %.0f%% of work completed\n",
            100 * result.IoSavedFraction(), 100 * result.WorkCompletedFraction());
     printf("  workload: %llu ops at %.0f%% measured utilization\n\n",
-           static_cast<unsigned long long>(result.workload_ops),
+           static_cast<unsigned long long>(
+               result.metrics.Value("workload.ops.completed")),
            100 * result.measured_util);
   }
   return 0;

@@ -49,7 +49,8 @@ int main() {
     printf("%s scrubber:\n", use_duet ? "duet" : "baseline");
     printf("  util during run: %.0f%%  workload ops: %llu\n",
            result.measured_util * 100,
-           static_cast<unsigned long long>(result.workload_ops));
+           static_cast<unsigned long long>(
+               result.metrics.Value("workload.ops.completed")));
     printf("  scrub: %llu/%llu blocks done (%s), read I/O %llu, saved %llu\n",
            static_cast<unsigned long long>(scrub.work_done),
            static_cast<unsigned long long>(scrub.work_total),

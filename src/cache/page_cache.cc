@@ -54,7 +54,6 @@ PageCache::PageCache(uint64_t capacity_pages, std::function<SimTime()> clock)
 
 void PageCache::Emit(PageEventType type, InodeNo ino, PageIdx idx,
                      bool exists, bool dirty) {
-  ++stats_.events_emitted;
   ctr_events_[static_cast<int>(type)]->Add();
   obs_->trace.Emit(clock_(), obs::TraceLayer::kCache,
                    kPageTraceKind[static_cast<int>(type)], ino, idx);
@@ -188,7 +187,7 @@ void PageCache::PlaceClean(uint32_t slot) {
   uint32_t newer = arena_[slot].lru.newer;
   while (older != kNoSlot || newer != kNoSlot) {
     if (older != kNoSlot) {
-      ++stats_.clean_place_steps;
+      ++clean_place_steps_;
       if (!arena_[older].page.dirty) {
         Link<&Entry::cls>(clean_, slot, older);
         return;
@@ -196,7 +195,7 @@ void PageCache::PlaceClean(uint32_t slot) {
       older = arena_[older].lru.older;
     }
     if (newer != kNoSlot) {
-      ++stats_.clean_place_steps;
+      ++clean_place_steps_;
       if (!arena_[newer].page.dirty) {
         Link<&Entry::cls>(clean_, slot, arena_[newer].cls.older);
         return;
@@ -210,12 +209,10 @@ void PageCache::PlaceClean(uint32_t slot) {
 std::optional<uint64_t> PageCache::Lookup(InodeNo ino, PageIdx idx) {
   uint32_t slot = FindSlot(ino, idx);
   if (slot != kNoSlot) {
-    ++stats_.hits;
     ctr_hits_->Add();
     Touch(slot);
     return arena_[slot].page.data;
   }
-  ++stats_.misses;
   ctr_misses_->Add();
   return std::nullopt;
 }
@@ -248,7 +245,6 @@ void PageCache::Insert(InodeNo ino, PageIdx idx, uint64_t data, bool dirty) {
   if (dirty) {
     ++dirty_count_;
   }
-  ++stats_.insertions;
   Emit(PageEventType::kAdded, ino, idx, /*exists=*/true, dirty);
   if (dirty) {
     Emit(PageEventType::kDirtied, ino, idx, /*exists=*/true, /*dirty=*/true);
@@ -291,7 +287,6 @@ bool PageCache::Remove(InodeNo ino, PageIdx idx) {
   }
   if (arena_[slot].page.dirty) {
     --dirty_count_;
-    ++stats_.removed_dirty;
     ctr_removed_dirty_->Add();
   }
   DestroyEntry(slot);
@@ -411,7 +406,7 @@ void PageCache::EvictIfNeeded() {
   // page just inserted or touched (the global MRU end) is never evicted.
   while (page_count_ > capacity_ && clean_.oldest != kNoSlot &&
          clean_.oldest != lru_.newest) {
-    ++stats_.eviction_scan_steps;
+    ++eviction_scan_steps_;
     Evict(clean_.oldest);
   }
 }
@@ -428,7 +423,7 @@ void PageCache::CollectAdvised() {
        slot != kNoSlot && slot != lru_.newest && window > 0 &&
        advised_.size() < need;
        slot = arena_[slot].cls.newer, --window) {
-    ++stats_.eviction_scan_steps;
+    ++eviction_scan_steps_;
     if (advisor_(arena_[slot].ino, arena_[slot].idx)) {
       advised_.push_back(slot);
     }
@@ -438,7 +433,6 @@ void PageCache::CollectAdvised() {
 void PageCache::Evict(uint32_t slot) {
   InodeNo ino = arena_[slot].ino;
   PageIdx idx = arena_[slot].idx;
-  ++stats_.evictions;
   ctr_evictions_->Add();
   obs_->trace.Emit(clock_(), obs::TraceLayer::kCache,
                    obs::TraceKind::kPageEvicted, ino, idx);

@@ -52,24 +52,6 @@ struct CachedPage {
   SimTime dirtied_at = 0;
 };
 
-struct PageCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  uint64_t events_emitted = 0;
-  // Pages removed while still dirty (truncate/delete): these never emit
-  // kFlushed, so the dirtied == flushed + removed_dirty + resident-dirty
-  // conservation law needs them accounted separately.
-  uint64_t removed_dirty = 0;
-  // Deterministic work counters (not in the metrics registry). Clean-list
-  // entries eviction examined: one per eviction, plus, with an advisor, each
-  // clean page the advisor was asked about.
-  uint64_t eviction_scan_steps = 0;
-  // Global-LRU entries MarkClean walked past to place a page in the clean list.
-  uint64_t clean_place_steps = 0;
-};
-
 class PageCache {
  public:
   // `clock` provides the current virtual time for dirty timestamps.
@@ -154,7 +136,13 @@ class PageCache {
   void SetEvictionAdvisor(EvictionAdvisor advisor, size_t window = 64);
   void ClearEvictionAdvisor();
 
-  const PageCacheStats& stats() const { return stats_; }
+  // Hits, misses, evictions and per-type events are counted in the metrics
+  // registry (cache.*). Deterministic work counters, not in the registry:
+  // clean-list entries eviction examined (one per eviction, plus, with an
+  // advisor, each clean page the advisor was asked about), and global-LRU
+  // entries MarkClean walked past to place a page in the clean list.
+  uint64_t eviction_scan_steps() const { return eviction_scan_steps_; }
+  uint64_t clean_place_steps() const { return clean_place_steps_; }
 
   // Full structural check, O(pages), independent of NDEBUG: the global LRU
   // length equals PageCount(), the dirty list length equals DirtyCount(), the
@@ -260,13 +248,17 @@ class PageCache {
   // Advisor picks for one eviction, all asked before any is evicted; a
   // member so the steady path does not allocate.
   std::vector<uint32_t> advised_;
-  PageCacheStats stats_;
+  uint64_t eviction_scan_steps_ = 0;
+  uint64_t clean_place_steps_ = 0;
   obs::ObsContext* obs_;
   // One counter per hook event type, indexed by PageEventType.
   obs::Counter* ctr_events_[4];
   obs::Counter* ctr_hits_;
   obs::Counter* ctr_misses_;
   obs::Counter* ctr_evictions_;
+  // Pages removed while still dirty (truncate/delete): these never emit
+  // kFlushed, so the dirtied == flushed + removed_dirty + resident-dirty
+  // conservation law needs them counted separately.
   obs::Counter* ctr_removed_dirty_;
 };
 

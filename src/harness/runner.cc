@@ -128,9 +128,8 @@ MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
 
   MaintenanceRunResult result;
   result.measured_util = rig.UtilizationSince(0, 0);
-  result.duet_stats = rig.duet().stats();
-  result.workload_ops = rig.workload().stats().ops_completed;
-  result.workload_latency_ms = rig.workload().stats().latency_ms.mean();
+  result.workload_latency_ms =
+      obs->metrics.FindHistogram("workload.op.latency_us")->Mean() / 1000;
   if (injector != nullptr) {
     result.fault_stats = injector->stats();
     result.fault_fingerprint = injector->plan().Fingerprint();

@@ -63,8 +63,8 @@ struct MaintenanceRunResult {
   std::vector<TaskStats> task_stats;
   bool all_finished = false;
   double measured_util = 0;       // best-effort utilization during the run
-  DuetStats duet_stats;
-  uint64_t workload_ops = 0;
+  // Mean of the workload.op.latency_us histogram, in ms. Workload op and
+  // Duet counts are in `metrics` (workload.ops.completed, duet.hooks, ...).
   double workload_latency_ms = 0;
   // Fault accounting (zero when no injector was configured).
   FaultStats fault_stats;

@@ -161,40 +161,26 @@ size_t FilebenchWorkload::PickFileIndex() {
 
 void FilebenchWorkload::OnOpComplete(OpType op, SimTime issued_at,
                                      const FsIoResult& result) {
-  ++stats_.ops_completed;
   ctr_completed_->Add();
   SimDuration latency = fs_->loop().now() - issued_at;
-  stats_.latency_ms.Add(ToMillis(latency));
   hist_latency_us_->Record(latency / kMicrosecond);
   obs_->trace.Emit(fs_->loop().now(), obs::TraceLayer::kWorkload,
                    obs::TraceKind::kOpCompleted, static_cast<uint64_t>(op),
                    latency / kMicrosecond);
   switch (op) {
     case OpType::kReadFile:
-      ++stats_.read_ops;
       ctr_reads_->Add();
-      stats_.pages_read += result.pages_requested;
       ctr_pages_read_->Add(result.pages_requested);
       break;
     case OpType::kOverwrite:
     case OpType::kAppendFile:
     case OpType::kAppendLog:
-      ++stats_.write_ops;
-      ctr_writes_->Add();
-      stats_.pages_written += result.pages_requested;
-      ctr_pages_written_->Add(result.pages_requested);
-      break;
     case OpType::kCreate:
-      ++stats_.write_ops;
       ctr_writes_->Add();
-      ++stats_.creates;
-      stats_.pages_written += result.pages_requested;
       ctr_pages_written_->Add(result.pages_requested);
       break;
     case OpType::kDelete:
-      ++stats_.write_ops;
       ctr_writes_->Add();
-      ++stats_.deletes;
       break;
   }
   if (!running_) {
@@ -222,7 +208,6 @@ void FilebenchWorkload::IssueNext() {
   }
   OpType op = PickOp();
   SimTime issued_at = fs_->loop().now();
-  ++stats_.ops_issued;
   ctr_issued_->Add();
   obs_->trace.Emit(issued_at, obs::TraceLayer::kWorkload,
                    obs::TraceKind::kOpIssued, static_cast<uint64_t>(op));

@@ -24,7 +24,6 @@
 #include "src/fs/file_system.h"
 #include "src/obs/obs.h"
 #include "src/util/rng.h"
-#include "src/util/stats.h"
 #include "src/util/zipf.h"
 
 namespace duet {
@@ -64,18 +63,6 @@ struct WorkloadConfig {
   std::string log_path = "/weblog";
 };
 
-struct WorkloadStats {
-  uint64_t ops_issued = 0;
-  uint64_t ops_completed = 0;
-  uint64_t read_ops = 0;
-  uint64_t write_ops = 0;  // overwrite + append + create + delete
-  uint64_t creates = 0;
-  uint64_t deletes = 0;
-  uint64_t pages_read = 0;
-  uint64_t pages_written = 0;
-  RunningStats latency_ms;  // per-operation completion latency
-};
-
 class FilebenchWorkload {
  public:
   FilebenchWorkload(FileSystem* fs, WorkloadConfig config);
@@ -90,8 +77,10 @@ class FilebenchWorkload {
   void Start();
   void Stop();
 
-  const WorkloadStats& stats() const { return stats_; }
-  WorkloadStats& mutable_stats() { return stats_; }
+  // Operation kinds: the first operand of kOpIssued / kOpCompleted trace
+  // events. Ops, pages and latency are counted in the metrics registry
+  // (workload.*); writes are overwrite + append + create + delete.
+  enum class OpType { kReadFile, kOverwrite, kAppendFile, kAppendLog, kCreate, kDelete };
 
   // Files the workload may touch (the covered subset).
   uint64_t covered_files() const { return covered_.size(); }
@@ -101,8 +90,6 @@ class FilebenchWorkload {
   uint64_t covered_bytes() const { return covered_bytes_; }
 
  private:
-  enum class OpType { kReadFile, kOverwrite, kAppendFile, kAppendLog, kCreate, kDelete };
-
   void IssueNext();
   void OnOpComplete(OpType op, SimTime issued_at, const FsIoResult& result);
   OpType PickOp();
@@ -129,7 +116,6 @@ class FilebenchWorkload {
   bool running_ = false;
   bool setup_done_ = false;
   SimTime next_issue_at_ = 0;
-  WorkloadStats stats_;
 };
 
 }  // namespace duet

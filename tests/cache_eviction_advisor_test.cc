@@ -3,6 +3,7 @@
 #include "src/cache/page_cache.h"
 #include "src/cowfs/cowfs.h"
 #include "src/duet/duet_core.h"
+#include "src/obs/obs.h"
 #include "tests/sim_fixture.h"
 
 namespace duet {
@@ -59,6 +60,8 @@ TEST(EvictionAdvisorTest, DirtyPagesNeverAdvisedAway) {
 TEST(EvictionAdvisorTest, DirtyLruTailDoesNotStallEviction) {
   // The advisor window counts clean candidates only: 80 dirty pages at the
   // LRU tail, more than the 64-page window, must not stop eviction.
+  obs::ObsContext ctx;
+  obs::ObsScope scope(&ctx);
   PageCache cache(100, [] { return SimTime{0}; });
   cache.SetEvictionAdvisor([](InodeNo, PageIdx) { return false; });
   for (PageIdx i = 0; i < 80; ++i) {
@@ -69,7 +72,7 @@ TEST(EvictionAdvisorTest, DirtyLruTailDoesNotStallEviction) {
   }
   EXPECT_EQ(cache.PageCount(), 100u);
   EXPECT_EQ(cache.DirtyCount(), 80u);
-  EXPECT_EQ(cache.stats().evictions, 980u);
+  EXPECT_EQ(ctx.metrics.CounterValue("cache.evictions"), 980u);
   EXPECT_TRUE(cache.CheckInvariants().ok());
 }
 

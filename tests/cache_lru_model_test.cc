@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/cache/page_cache.h"
+#include "src/obs/obs.h"
 #include "src/util/rng.h"
 
 namespace duet {
@@ -255,7 +256,10 @@ void RunDifferential(uint64_t seed, AdvisorKind kind) {
   g_now = 0;
   uint64_t capacity = 1 + rng.Uniform(8);
   size_t window = 1 + rng.Uniform(4);
+  obs::ObsContext ctx;
+  obs::ObsScope scope(&ctx);
   PageCache cache(capacity, [] { return g_now; });
+  const obs::Counter* evictions = ctx.metrics.FindCounter("cache.evictions");
   EventLog log;
   cache.AddListener(&log);
   if (kind != AdvisorKind::kNone) {
@@ -299,7 +303,7 @@ void RunDifferential(uint64_t seed, AdvisorKind kind) {
     ASSERT_EQ(log.events, model.events);
     ASSERT_EQ(cache.PageCount(), model.PageCount());
     ASSERT_EQ(cache.DirtyCount(), model.DirtyCount());
-    ASSERT_EQ(cache.stats().evictions, model.evictions());
+    ASSERT_EQ(evictions->value(), model.evictions());
     Status invariants = cache.CheckInvariants();
     ASSERT_TRUE(invariants.ok()) << invariants.ToString();
   }

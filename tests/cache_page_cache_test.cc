@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "src/obs/obs.h"
+
 namespace duet {
 namespace {
 
@@ -21,6 +23,11 @@ class PageCacheTest : public ::testing::Test {
     g_now = 0;
     cache_.AddListener(&recorder_);
   }
+  uint64_t Count(const char* name) const { return obs_.metrics.CounterValue(name); }
+
+  // Installed before the cache is built, so its counters are this test's.
+  obs::ObsContext obs_;
+  obs::ObsScope obs_scope_{&obs_};
   PageCache cache_;
   EventRecorder recorder_;
 };
@@ -30,8 +37,8 @@ TEST_F(PageCacheTest, InsertAndLookup) {
   EXPECT_EQ(cache_.Lookup(10, 0), 111u);
   EXPECT_EQ(cache_.Lookup(10, 1), std::nullopt);
   EXPECT_EQ(cache_.PageCount(), 1u);
-  EXPECT_EQ(cache_.stats().hits, 1u);
-  EXPECT_EQ(cache_.stats().misses, 1u);
+  EXPECT_EQ(Count("cache.hits"), 1u);
+  EXPECT_EQ(Count("cache.misses"), 1u);
 }
 
 TEST_F(PageCacheTest, InsertEmitsAdded) {
@@ -85,7 +92,7 @@ TEST_F(PageCacheTest, LruEvictionOnOverflow) {
   EXPECT_EQ(cache_.PageCount(), 4u);
   EXPECT_FALSE(cache_.Contains(1, 0));
   EXPECT_TRUE(cache_.Contains(5, 0));
-  EXPECT_EQ(cache_.stats().evictions, 1u);
+  EXPECT_EQ(Count("cache.evictions"), 1u);
 }
 
 TEST_F(PageCacheTest, LookupRefreshesLru) {
@@ -140,9 +147,9 @@ TEST_F(PageCacheTest, RemoveInodeDropsAllItsPages) {
 TEST_F(PageCacheTest, PeekDoesNotTouchLruOrStats) {
   cache_.Insert(1, 0, 1, false);
   cache_.Insert(2, 0, 2, false);
-  uint64_t hits = cache_.stats().hits;
+  uint64_t hits = Count("cache.hits");
   EXPECT_NE(cache_.Peek(1, 0), nullptr);
-  EXPECT_EQ(cache_.stats().hits, hits);
+  EXPECT_EQ(Count("cache.hits"), hits);
   cache_.Insert(3, 0, 3, false);
   cache_.Insert(4, 0, 4, false);
   cache_.Insert(5, 0, 5, false);  // evicts LRU = 1 despite the Peek
@@ -197,6 +204,8 @@ TEST_F(PageCacheTest, ReinsertExistingUpdatesData) {
 TEST(PageCacheWorkTest, EvictionAndCleanPlacementStepsAreExact) {
   // 500 dirty pages at the LRU tail: each eviction still examines exactly
   // one clean-list entry instead of stepping over the dirty run.
+  obs::ObsContext ctx;
+  obs::ObsScope scope(&ctx);
   PageCache cache(1000, [] { return SimTime{0}; });
   for (PageIdx i = 0; i < 500; ++i) {
     cache.Insert(1, i, i, true);
@@ -204,16 +213,16 @@ TEST(PageCacheWorkTest, EvictionAndCleanPlacementStepsAreExact) {
   for (PageIdx i = 0; i < 10'000; ++i) {
     cache.Insert(2, i, i, false);
   }
-  EXPECT_EQ(cache.stats().evictions, 9'500u);
-  EXPECT_EQ(cache.stats().eviction_scan_steps, cache.stats().evictions);
-  EXPECT_EQ(cache.stats().clean_place_steps, 0u);
+  EXPECT_EQ(ctx.metrics.CounterValue("cache.evictions"), 9'500u);
+  EXPECT_EQ(cache.eviction_scan_steps(), 9'500u);
+  EXPECT_EQ(cache.clean_place_steps(), 0u);
   // Cleaning the run oldest-first: the first page walks past the other 499
   // dirty pages to its nearest clean neighbour; every later one finds the
   // page cleaned just before it one step older.
   for (PageIdx i = 0; i < 500; ++i) {
     ASSERT_TRUE(cache.MarkClean(1, i));
   }
-  EXPECT_EQ(cache.stats().clean_place_steps, 500u + 499u);
+  EXPECT_EQ(cache.clean_place_steps(), 500u + 499u);
   EXPECT_TRUE(cache.CheckInvariants().ok());
 }
 

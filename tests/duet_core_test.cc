@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/cowfs/cowfs.h"
+#include "src/obs/obs.h"
 #include "tests/sim_fixture.h"
 
 namespace duet {
@@ -41,6 +42,11 @@ class DuetCoreTest : public ::testing::Test {
     }
   }
 
+  uint64_t Count(const char* name) const { return obs_.metrics.CounterValue(name); }
+
+  // Installed before the stack is built, so its counters are this test's.
+  obs::ObsContext obs_;
+  obs::ObsScope obs_scope_{&obs_};
   SimRig rig_;
   CowFs fs_;
   DuetCore duet_;
@@ -118,9 +124,9 @@ TEST_F(DuetCoreTest, FileTaskIgnoresFilesOutsideRegisteredDir) {
     EXPECT_EQ(item.id, inside);
   }
   // Irrelevant files are marked done so the path walk happens only once.
-  uint64_t checks = duet_.stats().relevance_checks;
+  uint64_t checks = duet_.relevance_checks();
   ReadSync(outside, 0, 2 * kPageSize);
-  EXPECT_EQ(duet_.stats().relevance_checks, checks);
+  EXPECT_EQ(duet_.relevance_checks(), checks);
 }
 
 TEST_F(DuetCoreTest, InitialScanReportsPreexistingPages) {
@@ -414,7 +420,7 @@ TEST_F(DuetCoreTest, DescriptorLimitDropsEventOnlySessions) {
   SessionId sid = *limited.RegisterBlockTask(kDuetPageAdded);
   ReadSync(ino, 0, 16 * kPageSize);
   EXPECT_LE(limited.PendingCount(sid), 4u);
-  EXPECT_GT(limited.stats().events_dropped, 0u);
+  EXPECT_GT(Count("duet.events.dropped"), 0u);  // duet_ has no session
   std::vector<DuetItem> items;
   while (true) {
     auto batch = limited.Fetch(sid, 64);
@@ -444,7 +450,7 @@ TEST_F(DuetCoreTest, StateSessionsAreNotSubjectToDropLimit) {
     fetched += batch->size();
   }
   EXPECT_EQ(fetched, 16u);
-  EXPECT_EQ(limited.stats().events_dropped, 0u);
+  EXPECT_EQ(Count("duet.events.dropped"), 0u);
 }
 
 TEST_F(DuetCoreTest, DescriptorsFreeOnceUpToDateAndEvicted) {

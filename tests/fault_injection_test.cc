@@ -247,7 +247,8 @@ TEST(FaultReplayProperty, IdenticalRunsProduceIdenticalCounters) {
   EXPECT_EQ(a.fault_stats.total_detect_latency, b.fault_stats.total_detect_latency);
   EXPECT_EQ(a.scrub_repaired, b.scrub_repaired);
   EXPECT_EQ(a.scrub_unrecoverable, b.scrub_unrecoverable);
-  EXPECT_EQ(a.workload_ops, b.workload_ops);
+  EXPECT_EQ(a.metrics.Value("workload.ops.completed"),
+            b.metrics.Value("workload.ops.completed"));
 
   // The strongest replay check: the structured traces — every injection,
   // detection, repair, I/O, and cache event, in order — are byte-identical.

@@ -75,7 +75,7 @@ TEST(RunnerTest, IdleBaselineScrubCompletes) {
   EXPECT_TRUE(result.all_finished);
   EXPECT_EQ(result.IoSavedFraction(), 0);
   EXPECT_DOUBLE_EQ(result.WorkCompletedFraction(), 1.0);
-  EXPECT_EQ(result.workload_ops, 0u);
+  EXPECT_EQ(result.metrics.Value("workload.ops.completed"), 0u);
 }
 
 TEST(RunnerTest, DuetSavesUnderWorkload) {
@@ -118,7 +118,8 @@ TEST(RunnerTest, DeterministicAcrossRuns) {
   MaintenanceRunResult a = RunMaintenance(config);
   MaintenanceRunResult b = RunMaintenance(config);
   EXPECT_EQ(a.TotalTaskIo(), b.TotalTaskIo());
-  EXPECT_EQ(a.workload_ops, b.workload_ops);
+  EXPECT_EQ(a.metrics.Value("workload.ops.completed"),
+            b.metrics.Value("workload.ops.completed"));
   EXPECT_EQ(a.task_stats[0].saved_read_pages, b.task_stats[0].saved_read_pages);
 }
 

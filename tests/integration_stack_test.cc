@@ -337,12 +337,8 @@ TEST(IntegrationStackTest, MetricsConservationLawsAtQuiescence) {
   EXPECT_LE(snap.Value("cache.evictions"), snap.Value("cache.removed"));
   EXPECT_GT(snap.Value("cache.evictions"), 0u);  // the small cache did evict
 
-  // Duet pipeline accounting: the registry mirrors DuetStats exactly, drops
-  // are explicit, and fetch merging can only shrink the delivered stream.
-  EXPECT_EQ(snap.Value("duet.hooks"), duet.stats().hook_invocations);
-  EXPECT_EQ(snap.Value("duet.events.delivered"), duet.stats().descriptor_updates);
-  EXPECT_EQ(snap.Value("duet.events.dropped"), duet.stats().events_dropped);
-  EXPECT_EQ(snap.Value("duet.items.fetched"), duet.stats().items_fetched);
+  // Duet pipeline accounting: fetch merging can only shrink the delivered
+  // stream.
   EXPECT_LE(snap.Value("duet.items.fetched"), snap.Value("duet.events.delivered"));
 
   // Scrub coverage: the finished pass verified (read or free-rode) every
@@ -530,6 +526,8 @@ TEST(IntegrationStackTest, LogFsInvariantsHoldAfterCrashRecovery) {
 TEST(IntegrationStackTest, DeterministicEndToEnd) {
   // The same seed must produce bit-identical stack state.
   auto run = [](uint64_t seed) {
+    obs::ObsContext ctx;
+    obs::ObsScope scope(&ctx);
     Rng rng(seed);
     SimRig rig(200'000, Micros(50));
     CowFs fs(&rig.loop, &rig.device, 128);
@@ -551,7 +549,7 @@ TEST(IntegrationStackTest, DeterministicEndToEnd) {
     auto items = duet.Fetch(sid, 1 << 20);
     uint64_t signature = rig.loop.now() ^ (items.ok() ? items->size() : 0) ^
                          fs.allocated_blocks() ^ fs.cache().PageCount() ^
-                         duet.stats().hook_invocations;
+                         ctx.metrics.CounterValue("duet.hooks");
     return signature;
   };
   EXPECT_EQ(run(7), run(7));

@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
   MaintenanceRunResult result = RunMaintenance(config);
   printf("measured utilization: %.0f%%   workload ops: %llu (%.2f ms avg)\n",
          result.measured_util * 100,
-         static_cast<unsigned long long>(result.workload_ops),
+         static_cast<unsigned long long>(result.metrics.Value("workload.ops.completed")),
          result.workload_latency_ms);
   for (size_t i = 0; i < config.tasks.size(); ++i) {
     const TaskStats& s = result.task_stats[i];
@@ -373,9 +373,9 @@ int main(int argc, char** argv) {
          100 * result.IoSavedFraction(), 100 * result.WorkCompletedFraction());
   printf("duet: %llu hook invocations, %llu items fetched, %llu descriptors "
          "dropped\n",
-         static_cast<unsigned long long>(result.duet_stats.hook_invocations),
-         static_cast<unsigned long long>(result.duet_stats.items_fetched),
-         static_cast<unsigned long long>(result.duet_stats.events_dropped));
+         static_cast<unsigned long long>(result.metrics.Value("duet.hooks")),
+         static_cast<unsigned long long>(result.metrics.Value("duet.items.fetched")),
+         static_cast<unsigned long long>(result.metrics.Value("duet.events.dropped")));
   if (config.fault.faults_per_second > 0) {
     const FaultStats& f = result.fault_stats;
     printf("\nfaults (plan %08x): %llu injected, %llu detected, %llu repaired, "
