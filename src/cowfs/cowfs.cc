@@ -557,33 +557,40 @@ void CowFs::DefragFile(InodeNo ino, IoClass io_class,
   });
 }
 
-Result<InodeNo> CowFs::PopulateFragmentedFile(std::string_view path, uint64_t bytes,
-                                              double break_prob, Rng& rng) {
-  Result<InodeNo> created = ns_.Create(path, FileType::kRegular);
-  if (!created.ok()) {
-    return created;
+Status CowFs::PopulatePages(InodeNo ino, uint64_t npages, double break_prob,
+                            Rng* rng) {
+  if (npages == 0) {
+    return Status::Ok();  // an empty file has no extent map
   }
-  InodeNo ino = *created;
-  uint64_t npages = PagesForBytes(bytes);
-  // The random jumps below must not leak into subsequent allocations, or
-  // every file populated afterwards would inherit the fragmentation.
+  std::vector<BlockNo>& blocks = fmap_[ino].blocks;
+  blocks.resize(npages, kInvalidBlock);
   BlockNo saved_cursor = alloc_cursor_;
   for (PageIdx p = 0; p < npages; ++p) {
-    if (rng.Chance(break_prob)) {
-      alloc_cursor_ = rng.Uniform(capacity_blocks());
+    if (rng != nullptr && rng->Chance(break_prob)) {
+      alloc_cursor_ = rng->Uniform(capacity_blocks());
     }
     Result<BlockNo> block = AllocBlock(alloc_cursor_);
     if (!block.ok()) {
-      alloc_cursor_ = saved_cursor;
+      // Keep only the pages that got a block, as page-by-page mapping would.
+      if (p == 0) {
+        fmap_.erase(ino);
+      } else {
+        blocks.resize(p);
+      }
+      if (rng != nullptr) {
+        alloc_cursor_ = saved_cursor;
+      }
       return block.status();
     }
     refcount_[*block] = 1;
-    SetMapping(ino, p, *block);
+    blocks[p] = *block;
+    rmap_[*block] = BlockOwner{ino, p};
     OnBlockFlushed(*block, NextToken());
   }
-  ns_.GetMutable(ino)->size = bytes;
-  alloc_cursor_ = saved_cursor;
-  return ino;
+  if (rng != nullptr) {
+    alloc_cursor_ = saved_cursor;
+  }
+  return Status::Ok();
 }
 
 std::vector<uint8_t> CowFs::SerializeSuperblock() const {

@@ -124,17 +124,6 @@ class CowFs : public FileSystem {
   void DefragFile(InodeNo ino, IoClass io_class,
                   std::function<void(const DefragResult&)> cb);
 
-  // Populates a file whose extents are deliberately broken: after each page,
-  // the allocation cursor jumps with probability `break_prob`.
-  Result<InodeNo> PopulateFragmentedFile(std::string_view path, uint64_t bytes,
-                                         double break_prob, Rng& rng);
-
-  // FileSystem aging hook: fragments according to break_prob.
-  Result<InodeNo> PopulateFileAged(std::string_view path, uint64_t bytes,
-                                   double break_prob, Rng& rng) override {
-    return PopulateFragmentedFile(path, bytes, break_prob, rng);
-  }
-
   uint64_t free_blocks() const { return capacity_blocks() - allocated_.Count(); }
   uint32_t BlockRefcount(BlockNo block) const { return refcount_[block]; }
 
@@ -161,6 +150,12 @@ class CowFs : public FileSystem {
  protected:
   Result<BlockNo> AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_block) override;
   void FreeFileBlocks(InodeNo ino) override;
+  // One pass per file: one extent-map lookup and one resize, then each page
+  // takes the next free block at the allocation cursor, as AllocateForWrite
+  // would place a fresh page after its predecessor. The fragmenting jumps of
+  // the cursor are undone at the end, so they do not leak into later files.
+  Status PopulatePages(InodeNo ino, uint64_t npages, double break_prob,
+                       Rng* rng) override;
   Status OnDiskBlockRead(BlockNo block, uint64_t token) override;
   void OnBlockFlushed(BlockNo block, uint64_t token) override;
   void InjectCorruption(BlockNo block, bool both_copies) override;

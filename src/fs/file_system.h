@@ -161,12 +161,17 @@ class FileSystem : public WritebackTarget {
   // ---- Setup-time population (no I/O, no virtual time) ----
   // Creates the file's data instantly: allocates blocks, writes tokens and
   // metadata directly to the simulated disk. Returns the inode.
-  Result<InodeNo> PopulateFile(std::string_view path, uint64_t bytes);
+  Result<InodeNo> PopulateFile(std::string_view path, uint64_t bytes) {
+    return Populate(path, bytes, 0, nullptr);
+  }
 
   // Population with deliberate fragmentation, where the file system supports
-  // it (cowfs); the default ignores `break_prob` and places contiguously.
-  virtual Result<InodeNo> PopulateFileAged(std::string_view path, uint64_t bytes,
-                                           double break_prob, Rng& rng);
+  // it (cowfs: after each page, the allocation cursor jumps with probability
+  // `break_prob`); logfs ignores `break_prob` and appends to its log.
+  Result<InodeNo> PopulateFileAged(std::string_view path, uint64_t bytes,
+                                   double break_prob, Rng& rng) {
+    return Populate(path, bytes, break_prob, &rng);
+  }
 
   // ---- Crash consistency (durability boundary & recovery) ----
 
@@ -236,6 +241,14 @@ class FileSystem : public WritebackTarget {
   // Frees every block of the file (unlink path).
   virtual void FreeFileBlocks(InodeNo ino) = 0;
 
+  // Setup-time population of pages [0, npages) of the fresh file `ino`:
+  // allocates a block per page and writes a fresh token straight to "disk".
+  // `rng` is null for plain population and is never drawn from then. The
+  // default allocates page by page through AllocateForWrite and ignores
+  // `break_prob`.
+  virtual Status PopulatePages(InodeNo ino, uint64_t npages, double break_prob,
+                               Rng* rng);
+
   // Called when a block's content has been read from the device; cowfs
   // verifies the stored checksum here.
   virtual Status OnDiskBlockRead(BlockNo block, uint64_t token);
@@ -295,6 +308,8 @@ class FileSystem : public WritebackTarget {
  private:
   struct ReadJob;
   void FinishViaLoop(FsIoCallback cb, FsIoResult result);
+  Result<InodeNo> Populate(std::string_view path, uint64_t bytes, double break_prob,
+                           Rng* rng);
 
   uint64_t token_counter_ = 1;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/fs/meta_codec.h"
 #include "src/util/rng.h"
 #include "tests/sim_fixture.h"
 
@@ -160,14 +161,14 @@ TEST_F(CowFsTest, ExtentCountOnContiguousAndFragmentedFiles) {
   InodeNo contiguous = MakeFile("/c", 32);
   EXPECT_EQ(fs_.ExtentCount(contiguous), 1u);
   Rng rng(5);
-  Result<InodeNo> frag = fs_.PopulateFragmentedFile("/frag", 32 * kPageSize, 0.5, rng);
+  Result<InodeNo> frag = fs_.PopulateFileAged("/frag", 32 * kPageSize, 0.5, rng);
   ASSERT_TRUE(frag.ok());
   EXPECT_GT(fs_.ExtentCount(*frag), 8u);
 }
 
 TEST_F(CowFsTest, DefragProducesContiguousFile) {
   Rng rng(7);
-  InodeNo ino = *fs_.PopulateFragmentedFile("/frag", 64 * kPageSize, 0.5, rng);
+  InodeNo ino = *fs_.PopulateFileAged("/frag", 64 * kPageSize, 0.5, rng);
   uint64_t before = fs_.ExtentCount(ino);
   ASSERT_GT(before, 4u);
   std::vector<uint64_t> tokens;
@@ -200,7 +201,7 @@ TEST_F(CowFsTest, DefragProducesContiguousFile) {
 
 TEST_F(CowFsTest, DefragSavesCachedReads) {
   Rng rng(9);
-  InodeNo ino = *fs_.PopulateFragmentedFile("/frag", 32 * kPageSize, 0.4, rng);
+  InodeNo ino = *fs_.PopulateFileAged("/frag", 32 * kPageSize, 0.4, rng);
   // Warm half the file into the cache.
   fs_.Read(ino, 0, 16 * kPageSize, IoClass::kBestEffort, nullptr);
   rig_.loop.Run();
@@ -309,6 +310,98 @@ TEST_F(CowFsTest, RepairBlocksUsesMirrorThenReportsUnrecoverable) {
   EXPECT_EQ(result.unrecoverable, 1u);
   EXPECT_TRUE(fs_.BlockChecksumOk(fixable));
   EXPECT_FALSE(fs_.BlockChecksumOk(doomed));
+}
+
+// Exposes the write path that setup-time population must reproduce: the
+// allocation of each fresh page and the persisting of its fresh token.
+class PageByPageCowFs : public CowFs {
+ public:
+  using CowFs::CowFs;
+
+  Result<InodeNo> WritePageByPage(std::string_view path, uint64_t bytes) {
+    Result<InodeNo> ino = CreateFile(path);
+    if (!ino.ok()) {
+      return ino;
+    }
+    for (PageIdx p = 0; p < PagesForBytes(bytes); ++p) {
+      Result<BlockNo> block = AllocateForWrite(*ino, p, kInvalidBlock);
+      if (!block.ok()) {
+        return block.status();
+      }
+      OnBlockFlushed(*block, NextToken());
+    }
+    ns().GetMutable(*ino)->size = bytes;
+    return ino;
+  }
+
+  uint32_t Checksum(BlockNo block) const { return StoredChecksum(block); }
+
+  // The namespace and extent maps as a checkpoint stores them.
+  std::vector<uint8_t> Maps() const {
+    ByteWriter w;
+    SerializeNamespaceAndMaps(&w);
+    return w.Take();
+  }
+};
+
+void ExpectSameState(const PageByPageCowFs& a, const PageByPageCowFs& b) {
+  ASSERT_EQ(a.capacity_blocks(), b.capacity_blocks());
+  EXPECT_EQ(a.allocated_blocks(), b.allocated_blocks());
+  EXPECT_EQ(a.Maps(), b.Maps());
+  for (BlockNo block = 0; block < a.capacity_blocks(); ++block) {
+    SCOPED_TRACE("block " + std::to_string(block));
+    ASSERT_EQ(a.IsAllocated(block), b.IsAllocated(block));
+    ASSERT_EQ(a.BlockRefcount(block), b.BlockRefcount(block));
+    ASSERT_EQ(a.DiskToken(block), b.DiskToken(block));
+    ASSERT_EQ(a.MirrorToken(block), b.MirrorToken(block));
+    ASSERT_EQ(a.Checksum(block), b.Checksum(block));
+    Result<FileSystem::BlockOwner> owner_a = a.Rmap(block);
+    Result<FileSystem::BlockOwner> owner_b = b.Rmap(block);
+    ASSERT_EQ(owner_a.ok(), owner_b.ok());
+    if (owner_a.ok()) {
+      ASSERT_EQ(owner_a->ino, owner_b->ino);
+      ASSERT_EQ(owner_a->idx, owner_b->idx);
+    }
+  }
+}
+
+// PopulateFile writes a file in one pass; the result must be the state the
+// page-by-page write path leaves, including where the next file goes: over
+// holes, across the end of the device, with an empty file and when the
+// device fills up.
+TEST(CowFsPopulateTest, OnePassMatchesPageByPageWrites) {
+  constexpr uint64_t kCapacity = 4096;
+  SimRig rig_a(kCapacity);
+  SimRig rig_b(kCapacity);
+  PageByPageCowFs a(&rig_a.loop, &rig_a.device, 64);
+  PageByPageCowFs b(&rig_b.loop, &rig_b.device, 64);
+  auto both_aged = [&](const char* path, uint64_t pages, uint64_t seed) {
+    Rng rng_a(seed);
+    Rng rng_b(seed);
+    ASSERT_TRUE(a.PopulateFileAged(path, pages * kPageSize, 0.3, rng_a).ok());
+    ASSERT_TRUE(b.PopulateFileAged(path, pages * kPageSize, 0.3, rng_b).ok());
+  };
+  auto both = [&](const char* path, uint64_t bytes) {
+    Result<InodeNo> one_pass = a.PopulateFile(path, bytes);
+    Result<InodeNo> by_page = b.WritePageByPage(path, bytes);
+    EXPECT_EQ(one_pass.status().code(), by_page.status().code()) << path;
+    ExpectSameState(a, b);
+    return one_pass.status().code();
+  };
+  both_aged("/aged", 300, 11);
+  both("/a", 1000 * kPageSize + 100);
+  both("/empty", 0);
+  both("/b", 1200 * kPageSize);
+  ASSERT_TRUE(a.DeleteFile(*a.ns().Resolve("/aged")).ok());
+  ASSERT_TRUE(b.DeleteFile(*b.ns().Resolve("/aged")).ok());
+  // Past the end of the device into the holes the aged file left.
+  EXPECT_EQ(both("/wraps", 1700 * kPageSize), StatusCode::kOk);
+  EXPECT_EQ(both("/too_big", 800 * kPageSize), StatusCode::kNoSpace);
+  ASSERT_TRUE(a.DeleteFile(*a.ns().Resolve("/b")).ok());
+  ASSERT_TRUE(b.DeleteFile(*b.ns().Resolve("/b")).ok());
+  both("/after_full", 10 * kPageSize);
+  both_aged("/aged_again", 50, 12);
+  both("/last", 5 * kPageSize);
 }
 
 }  // namespace

@@ -125,7 +125,7 @@ TEST_F(CowLifecycleTest, DefragRestartsAfterCompletion) {
   Rng rng(3);
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(
-        fs_.PopulateFragmentedFile(StrFormat("/f%d", i), 32 * kPageSize, 0.5, rng).ok());
+        fs_.PopulateFileAged(StrFormat("/f%d", i), 32 * kPageSize, 0.5, rng).ok());
   }
   DefragConfig config;
   config.use_duet = true;
@@ -136,7 +136,7 @@ TEST_F(CowLifecycleTest, DefragRestartsAfterCompletion) {
   task.Stop();
   for (int i = 6; i < 9; ++i) {
     ASSERT_TRUE(
-        fs_.PopulateFragmentedFile(StrFormat("/f%d", i), 32 * kPageSize, 0.5, rng).ok());
+        fs_.PopulateFileAged(StrFormat("/f%d", i), 32 * kPageSize, 0.5, rng).ok());
   }
   task.Start();
   rig_.loop.Run();
@@ -260,7 +260,7 @@ TEST_F(CowLifecycleTest, DefragRestartWithChunkQueued) {
   Rng rng(3);
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(
-        fs_.PopulateFragmentedFile(StrFormat("/f%d", i), 32 * kPageSize, 0.5, rng).ok());
+        fs_.PopulateFileAged(StrFormat("/f%d", i), 32 * kPageSize, 0.5, rng).ok());
   }
   DefragConfig config;
   config.use_duet = true;
