@@ -11,9 +11,11 @@
 //
 // Each measurement records operations executed, wall-clock milliseconds,
 // derived ops/sec, and (where meaningful) the peak descriptor-arena bytes
-// observed. tools/perf_compare.py diffs two such files and fails on a
-// wall-clock regression or on any growth of the peak descriptor bytes (a
-// deterministic, host-independent number); CI runs it against the
+// observed and the calibration probe work behind the row (probes run,
+// probes stopped early, simulated milliseconds). tools/perf_compare.py
+// diffs two such files and fails on a wall-clock regression or on any
+// growth of the peak descriptor bytes or of the probe milliseconds
+// (deterministic, host-independent numbers); CI runs it against the
 // checked-in bench/BENCH_hotpath.json baseline (refresh the baseline with
 // --out bench/BENCH_hotpath.json after intentional perf changes).
 //
@@ -41,11 +43,19 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Calibration work behind a row (the harness.calibrate.* counters).
+struct ProbeWork {
+  uint64_t probes = 0;
+  uint64_t probes_stopped = 0;
+  uint64_t probe_sim_ms = 0;
+};
+
 struct Measurement {
   std::string name;
   uint64_t ops = 0;
   double wall_ms = 0;
   uint64_t peak_descriptor_bytes = 0;
+  ProbeWork calibration = {};
 };
 
 double MsSince(Clock::time_point start) {
@@ -206,11 +216,19 @@ Measurement MeasureScrubRun(const StackConfig& stack) {
 // The workload rate `duetsim --gc --util=0.6` calibrates for this stack.
 // Calibrated once, untimed; at that rate the GC cleans segments and logfs
 // runs out of free ones, so the row times scattered-write allocation too.
-CalibratedRate GcRate(const StackConfig& stack) {
+// The calibration's probe work is deterministic, so it is gated exactly.
+CalibratedRate GcRate(const StackConfig& stack, ProbeWork* work) {
+  obs::ObsContext ctx;
+  obs::ObsScope scope(&ctx);
   WorkloadConfig workload = MakeWorkloadConfig(stack, Personality::kFileserver,
                                                /*coverage=*/1.0, /*skewed=*/false,
                                                /*ops_per_sec=*/0, /*seed=*/42);
-  return CalibrateRate(stack, workload, /*target_util=*/0.6);
+  CalibratedRate rate = CalibrateRate(stack, workload, /*target_util=*/0.6);
+  work->probes = ctx.metrics.GetCounter("harness.calibrate.probes")->value();
+  work->probes_stopped =
+      ctx.metrics.GetCounter("harness.calibrate.probes_stopped")->value();
+  work->probe_sim_ms = ctx.metrics.GetCounter("harness.calibrate.probe_sim_ms")->value();
+  return rate;
 }
 
 Measurement MeasureGcRun(const StackConfig& stack, const CalibratedRate& rate) {
@@ -241,9 +259,13 @@ void WriteJson(const std::vector<Measurement>& ms, const std::string& path) {
     double ops_per_sec = m.wall_ms > 0 ? m.ops / (m.wall_ms / 1000.0) : 0;
     fprintf(out,
             "    {\"name\": \"%s\", \"ops\": %llu, \"wall_ms\": %.3f, "
-            "\"ops_per_sec\": %.1f, \"peak_descriptor_bytes\": %llu}%s\n",
+            "\"ops_per_sec\": %.1f, \"peak_descriptor_bytes\": %llu, "
+            "\"probes\": %llu, \"probes_stopped\": %llu, \"probe_sim_ms\": %llu}%s\n",
             m.name.c_str(), static_cast<unsigned long long>(m.ops), m.wall_ms,
             ops_per_sec, static_cast<unsigned long long>(m.peak_descriptor_bytes),
+            static_cast<unsigned long long>(m.calibration.probes),
+            static_cast<unsigned long long>(m.calibration.probes_stopped),
+            static_cast<unsigned long long>(m.calibration.probe_sim_ms),
             i + 1 < ms.size() ? "," : "");
   }
   fprintf(out, "  ]\n}\n");
@@ -301,14 +323,23 @@ int main(int argc, char** argv) {
   ms.push_back(best([] { return MeasureFetchBatch(20'000, 256); }));
   ms.push_back(best([] { return MeasureCrc32c(2'000); }));
   ms.push_back(best([&stack] { return MeasureScrubRun(stack); }));
-  CalibratedRate gc_rate = GcRate(stack);
+  ProbeWork gc_calibration;
+  CalibratedRate gc_rate = GcRate(stack, &gc_calibration);
   ms.push_back(best([&stack, &gc_rate] { return MeasureGcRun(stack, gc_rate); }));
+  ms.back().calibration = gc_calibration;
 
   for (const Measurement& m : ms) {
     double ops_per_sec = m.wall_ms > 0 ? m.ops / (m.wall_ms / 1000.0) : 0;
-    printf("%-36s %10llu ops  %9.2f ms  %12.0f ops/s  peak_desc %llu B\n",
+    printf("%-36s %10llu ops  %9.2f ms  %12.0f ops/s  peak_desc %llu B",
            m.name.c_str(), static_cast<unsigned long long>(m.ops), m.wall_ms,
            ops_per_sec, static_cast<unsigned long long>(m.peak_descriptor_bytes));
+    if (m.calibration.probes > 0) {
+      printf("  probes %llu (%llu stopped, %llu sim ms)",
+             static_cast<unsigned long long>(m.calibration.probes),
+             static_cast<unsigned long long>(m.calibration.probes_stopped),
+             static_cast<unsigned long long>(m.calibration.probe_sim_ms));
+    }
+    printf("\n");
   }
   if (!out_path.empty()) {
     WriteJson(ms, out_path);

@@ -9,6 +9,9 @@ For every measurement present in both files:
   * `peak_descriptor_bytes` may not grow at all. The simulated work is
     deterministic, so this number is the same on every host and any growth
     is a change in the code (for example, descriptors that are never freed).
+  * `probe_sim_ms`, the simulated milliseconds of the calibration probes
+    behind a row, may not grow at all either, for the same reason (for
+    example, probes that no longer stop once their answer is known).
 
 Measurements that got faster or smaller, or that exist on only one side,
 never fail the check (new measurements start gating once they land in the
@@ -53,10 +56,12 @@ def main():
         problems = []
         if ratio > 1.0 + args.tolerance:
             problems.append("REGRESSION")
-        b_bytes = b.get("peak_descriptor_bytes", 0)
-        c_bytes = c.get("peak_descriptor_bytes", 0)
-        if c_bytes > b_bytes:
-            problems.append(f"DESCRIPTOR BYTES {b_bytes} -> {c_bytes}")
+        for field, label in (("peak_descriptor_bytes", "DESCRIPTOR BYTES"),
+                             ("probe_sim_ms", "PROBE SIM MS")):
+            b_work = b.get(field, 0)
+            c_work = c.get(field, 0)
+            if c_work > b_work:
+                problems.append(f"{label} {b_work} -> {c_work}")
         if problems:
             failures.append(name)
         rows.append((name, b["wall_ms"], c["wall_ms"], ratio,
@@ -74,10 +79,11 @@ def main():
 
     if failures:
         print(f"\nFAIL: {len(failures)} measurement(s) regressed (wall-clock "
-              f"beyond {args.tolerance * 100:.0f}% or peak descriptor bytes "
-              f"grown): {', '.join(failures)}")
+              f"beyond {args.tolerance * 100:.0f}%, or peak descriptor bytes "
+              f"or probe sim ms grown): {', '.join(failures)}")
         return 1
-    print("\nOK: no wall-clock regression beyond tolerance, no descriptor growth")
+    print("\nOK: no wall-clock regression beyond tolerance, no descriptor or "
+          "probe growth")
     return 0
 
 
