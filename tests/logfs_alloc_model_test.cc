@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -161,9 +162,17 @@ struct ModelCase {
   bool durable_image;
 };
 
+std::string Describe(const ModelCase& c) {
+  return StrFormat("cap%llu_seg%u_%s", static_cast<unsigned long long>(c.capacity),
+                   c.segment_blocks, c.durable_image ? "pinned" : "plain");
+}
+
+// gtest prints the parameter into each test's listed name; without this it
+// dumps the struct's raw bytes, padding included.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << Describe(c); }
+
 std::string CaseName(const ::testing::TestParamInfo<ModelCase>& info) {
-  return StrFormat("cap%llu_seg%u_%s", static_cast<unsigned long long>(info.param.capacity),
-                   info.param.segment_blocks, info.param.durable_image ? "pinned" : "plain");
+  return Describe(info.param);
 }
 
 class LogFsAllocModelTest : public ::testing::TestWithParam<ModelCase> {};
