@@ -130,10 +130,6 @@ MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
   result.measured_util = rig.UtilizationSince(0, 0);
   result.workload_latency_ms =
       obs->metrics.FindHistogram("workload.op.latency_us")->Mean() / 1000;
-  if (injector != nullptr) {
-    result.fault_stats = injector->stats();
-    result.fault_fingerprint = injector->plan().Fingerprint();
-  }
   if (const auto* scrub =
           static_cast<const Scrubber*>(tasks[static_cast<int>(MaintKind::kScrub)].get())) {
     result.scrub_repaired = scrub->blocks_repaired();
@@ -168,6 +164,13 @@ MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
   obs->metrics.GetCounter("tasks.total.work")->Add(total_work);
   obs->metrics.GetCounter("tasks.total.saved_pages")->Add(total_saved);
   obs->metrics.GetCounter("tasks.total.done")->Add(total_done);
+  // The ledger is copied with the registry snapshot: stopping a task can
+  // still resolve faults (backup's OnStop deletes its snapshot, which frees
+  // blocks), and the fault.* counters see that too.
+  if (injector != nullptr) {
+    result.fault_stats = injector->stats();
+    result.fault_fingerprint = injector->plan().Fingerprint();
+  }
   result.metrics = obs->metrics.Snapshot();
   result.trace_fingerprint = obs->trace.Fingerprint();
   return result;

@@ -262,6 +262,39 @@ TEST(FaultReplayProperty, IdenticalRunsProduceIdenticalCounters) {
   EXPECT_NE(c.trace_fingerprint, a.trace_fingerprint);
 }
 
+// The fault ledger in the run result and the fault.* counters in its metrics
+// snapshot describe the same moment. In this run backup's stop deletes its
+// snapshot after the window ends, which frees blocks and resolves faults; a
+// ledger copied at the window end would miss those.
+TEST(FaultReplayProperty, LedgerMatchesMetricsSnapshot) {
+  MaintenanceRunConfig config;
+  config.stack = QuickStackConfig();
+  config.stack.data_bytes = 64ull * 1024 * 1024;
+  config.stack.capacity_blocks = (config.stack.data_bytes / kPageSize) * 5 / 4;
+  config.stack.cache_pages = config.stack.data_bytes / kPageSize / 50;
+  config.stack.window = Seconds(4);
+  config.personality = Personality::kFileserver;
+  config.fragmented_fraction = 0.1;
+  config.tasks = {MaintKind::kScrub, MaintKind::kBackup, MaintKind::kDefrag};
+  config.use_duet = true;
+  config.fault.kinds = kFaultAllKinds;
+  config.fault.faults_per_second = 20;
+  config.fault.window = config.stack.window;
+  config.fault_seed = 3;
+
+  MaintenanceRunResult r = RunMaintenance(config);
+  const FaultStats& f = r.fault_stats;
+  EXPECT_GT(f.masked, 0u);
+  EXPECT_EQ(f.injected, r.metrics.Value("fault.injected"));
+  EXPECT_EQ(f.detected, r.metrics.Value("fault.detected"));
+  EXPECT_EQ(f.repaired, r.metrics.Value("fault.repaired"));
+  EXPECT_EQ(f.masked, r.metrics.Value("fault.masked"));
+  EXPECT_EQ(f.unrecoverable, r.metrics.Value("fault.unrecoverable"));
+  EXPECT_EQ(f.read_errors, r.metrics.Value("fault.read_errors"));
+  EXPECT_EQ(f.transient_failures, r.metrics.Value("fault.transient_failures"));
+  EXPECT_EQ(f.crashes, r.metrics.Value("fault.crashes"));
+}
+
 // A different fault seed must change the schedule (no hidden coupling to the
 // workload seed).
 TEST(FaultReplayProperty, FaultSeedIndependentOfWorkloadSeed) {
