@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/cowfs/cowfs.h"
+#include "src/obs/obs.h"
 #include "tests/sim_fixture.h"
 
 namespace duet {
@@ -197,6 +200,149 @@ TEST_F(FileSystemTest, RedirtiedPageSurvivesWritebackRace) {
   Result<BlockNo> block = fs_.Bmap(ino, 0);
   ASSERT_TRUE(block.ok());
   EXPECT_EQ(fs_.DiskToken(*block), fs_.cache().Peek(ino, 0)->data);
+}
+
+// Request formation: which device requests each data path submits, in
+// order, read back from the kIoSubmit trace events (block, count, and
+// class<<1|dir). Pins the coalescing of Read, ReadBlocks, ReadRawBlocks and
+// WritebackPages.
+class FileSystemRequestTest : public ::testing::Test {
+ protected:
+  struct Submit {
+    uint64_t block;
+    uint64_t count;
+    uint64_t class_dir;
+    bool operator==(const Submit&) const = default;
+  };
+  struct SubmitRecorder : obs::TraceSink {
+    void OnTraceEvent(const obs::TraceEvent& event) override {
+      if (event.kind == obs::TraceKind::kIoSubmit) {
+        submits.push_back(Submit{event.a, event.b, event.c});
+      }
+    }
+    std::vector<Submit> submits;
+  };
+
+  FileSystemRequestTest()
+      : rig_(100'000), fs_(&rig_.loop, &rig_.device, /*cache_pages=*/64) {
+    obs_.trace.AddSink(&recorder_);
+  }
+  ~FileSystemRequestTest() override { obs_.trace.RemoveSink(&recorder_); }
+
+  static uint64_t ClassDir(IoClass io_class, IoDir dir) {
+    return static_cast<uint64_t>(io_class) << 1 | static_cast<uint64_t>(dir);
+  }
+  InodeNo MakeFile(const char* path, uint64_t pages) {
+    return *fs_.PopulateFile(path, pages * kPageSize);
+  }
+  void Write(InodeNo ino, PageIdx idx) {
+    fs_.Write(ino, idx * kPageSize, kPageSize, IoClass::kBestEffort, nullptr);
+  }
+  void Sync() {
+    bool synced = false;
+    fs_.Sync([&] { synced = true; });
+    rig_.loop.Run();
+    ASSERT_TRUE(synced);
+  }
+  std::vector<Submit> TakeSubmits() { return std::exchange(recorder_.submits, {}); }
+
+  // Installed before the device is built, so its trace events reach the
+  // recorder.
+  obs::ObsContext obs_;
+  obs::ObsScope obs_scope_{&obs_};
+  SubmitRecorder recorder_;
+  SimRig rig_;
+  CowFs fs_;
+};
+
+TEST_F(FileSystemRequestTest, ReadCoalescesMissesInBlockOrder) {
+  InodeNo a = MakeFile("/a", 4);  // blocks 0-3
+  MakeFile("/gap", 2);            // blocks 4-5
+  for (PageIdx p = 4; p < 8; ++p) {
+    Write(a, p);  // appended after the gap: blocks 6-9
+  }
+  Write(a, 0);  // COW of page 0: block 10
+  Sync();
+  EXPECT_EQ(fs_.Bmap(a, 0).value(), 10u);
+  EXPECT_EQ(fs_.Bmap(a, 4).value(), 6u);
+  fs_.cache().RemoveInode(a);
+  bool done = false;
+  fs_.Read(a, kPageSize, kPageSize, IoClass::kIdle,
+           [&](const FsIoResult&) { done = true; });  // caches page 1
+  rig_.loop.Run();
+  ASSERT_TRUE(done);
+  TakeSubmits();
+
+  FsIoResult out;
+  fs_.Read(a, 0, 8 * kPageSize, IoClass::kIdle, [&](const FsIoResult& r) { out = r; });
+  rig_.loop.Run();
+  EXPECT_TRUE(out.status.ok());
+  EXPECT_EQ(out.pages_from_cache, 1u);
+  EXPECT_EQ(out.pages_from_disk, 7u);
+  EXPECT_EQ(out.device_ops, 2u);
+  // Misses at blocks 10, 2, 3, 6, 7, 8, 9 (page order) become two requests
+  // in block order; page 1's block 1 is cached and splits block 0's extent.
+  uint64_t read = ClassDir(IoClass::kIdle, IoDir::kRead);
+  EXPECT_EQ(TakeSubmits(), (std::vector<Submit>{{2, 2, read}, {6, 5, read}}));
+}
+
+TEST_F(FileSystemRequestTest, ReadBlocksSortsAndDropsDuplicates) {
+  MakeFile("/a", 12);
+  TakeSubmits();
+  RawReadResult out;
+  fs_.ReadBlocks({9, 2, 3, 9, 7, 2, 8}, IoClass::kIdle,
+                 [&](const RawReadResult& r) { out = r; });
+  rig_.loop.Run();
+  EXPECT_TRUE(out.status.ok());
+  EXPECT_EQ(out.blocks_read, 5u);
+  EXPECT_EQ(out.device_ops, 2u);
+  uint64_t read = ClassDir(IoClass::kIdle, IoDir::kRead);
+  EXPECT_EQ(TakeSubmits(), (std::vector<Submit>{{2, 2, read}, {7, 3, read}}));
+}
+
+TEST_F(FileSystemRequestTest, ReadRawBlocksSkipsUnallocatedGaps) {
+  MakeFile("/a", 4);             // blocks 0-3
+  InodeNo b = MakeFile("/b", 3); // blocks 4-6
+  MakeFile("/c", 2);             // blocks 7-8
+  ASSERT_TRUE(fs_.DeleteFile(b).ok());
+  TakeSubmits();
+  RawReadResult out;
+  fs_.ReadRawBlocks(1, 10, IoClass::kIdle, /*populate_cache=*/false,
+                    [&](const RawReadResult& r) { out = r; });
+  rig_.loop.Run();
+  EXPECT_TRUE(out.status.ok());
+  EXPECT_EQ(out.blocks_read, 5u);
+  EXPECT_EQ(out.device_ops, 2u);
+  uint64_t read = ClassDir(IoClass::kIdle, IoDir::kRead);
+  EXPECT_EQ(TakeSubmits(), (std::vector<Submit>{{1, 3, read}, {7, 2, read}}));
+}
+
+TEST_F(FileSystemRequestTest, WritebackCoalescesOnlyAdjacentDirtyBlocks) {
+  InodeNo a = MakeFile("/a", 8);  // blocks 0-7
+  InodeNo x = MakeFile("/x", 1);  // block 8
+  MakeFile("/y", 1);              // block 9
+  InodeNo z = MakeFile("/z", 1);  // block 10
+  MakeFile("/w", 1);              // block 11
+  ASSERT_TRUE(fs_.DeleteFile(x).ok());
+  ASSERT_TRUE(fs_.DeleteFile(z).ok());
+  // Each COW takes the first free block after the old one, and every COW
+  // frees the old block for the next.
+  Write(a, 7);  // block 8; frees 7
+  Write(a, 2);  // block 7; frees 2
+  Write(a, 0);  // block 2; frees 0
+  Write(a, 3);  // block 10; frees 3
+  EXPECT_EQ(fs_.Bmap(a, 7).value(), 8u);
+  EXPECT_EQ(fs_.Bmap(a, 2).value(), 7u);
+  EXPECT_EQ(fs_.Bmap(a, 0).value(), 2u);
+  EXPECT_EQ(fs_.Bmap(a, 3).value(), 10u);
+  TakeSubmits();
+  Sync();
+  // Dirty blocks 8, 7, 2, 10 (write order) go out in block order, 7 and 8
+  // as one request; Sync's device flush follows.
+  uint64_t write = ClassDir(IoClass::kBestEffort, IoDir::kWrite);
+  EXPECT_EQ(TakeSubmits(), (std::vector<Submit>{
+                               {2, 1, write}, {7, 2, write}, {10, 1, write}, {0, 0, write}}));
+  EXPECT_EQ(fs_.cache().DirtyCount(), 0u);
 }
 
 }  // namespace
