@@ -41,15 +41,11 @@ class CowFs : public FileSystem {
   CowFs(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
         WritebackParams wb_params = WritebackParams());
 
-  // ---- Checksums ----
-  static uint32_t TokenChecksum(uint64_t token);
-  // Verifies the on-disk copy of `block` against its stored checksum.
-  bool BlockChecksumOk(BlockNo block) const;
+  // ---- Checksums (kept by FileSystem) ----
   // Flips on-disk bits without updating the checksum (failure injection).
   // With `also_mirror`, the DUP mirror copy is corrupted too, making the
   // block unrecoverable by RepairBlocks.
   void CorruptBlock(BlockNo block, bool also_mirror = false);
-  uint64_t checksum_errors_detected() const { return checksum_errors_detected_; }
   // DUP mirror copy of `block` (tests).
   uint64_t MirrorToken(BlockNo block) const { return mirror_data_[block]; }
 
@@ -124,7 +120,6 @@ class CowFs : public FileSystem {
   void DefragFile(InodeNo ino, IoClass io_class,
                   std::function<void(const DefragResult&)> cb);
 
-  uint64_t free_blocks() const { return capacity_blocks() - allocated_.Count(); }
   uint32_t BlockRefcount(BlockNo block) const { return refcount_[block]; }
 
   // ---- Crash consistency (superblock generations) ----
@@ -144,8 +139,6 @@ class CowFs : public FileSystem {
   void Mount(std::function<void(const MountReport&)> cb) override;
   FsckReport CheckConsistency() const override;
   uint64_t superblock_generation() const { return superblock_generation_; }
-  // True if the last committed superblock references `block` (pinned).
-  bool CommittedBlock(BlockNo block) const { return committed_.Test(block); }
 
  protected:
   Result<BlockNo> AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_block) override;
@@ -156,11 +149,9 @@ class CowFs : public FileSystem {
   // the cursor are undone at the end, so they do not leak into later files.
   Status PopulatePages(InodeNo ino, uint64_t npages, double break_prob,
                        Rng* rng) override;
-  Status OnDiskBlockRead(BlockNo block, uint64_t token) override;
   void OnBlockFlushed(BlockNo block, uint64_t token) override;
   void InjectCorruption(BlockNo block, bool both_copies) override;
   bool BlockInUse(BlockNo block) const override { return allocated_.Test(block); }
-  uint32_t StoredChecksum(BlockNo block) const override { return disk_csum_[block]; }
 
  private:
   struct RepairJob;
@@ -184,7 +175,6 @@ class CowFs : public FileSystem {
 
   Bitmap allocated_;
   std::vector<uint32_t> refcount_;
-  std::vector<uint32_t> disk_csum_;
   // DUP profile: a second physical copy of each block, kept in sync by
   // OnBlockFlushed. Repair reads it (one device read) when the primary is
   // corrupt; reading it does not consult the fault injector since it lives
@@ -193,7 +183,6 @@ class CowFs : public FileSystem {
   BlockNo alloc_cursor_ = 0;
   SnapshotId next_snapshot_id_ = 1;
   std::unordered_map<SnapshotId, Snapshot> snapshots_;
-  uint64_t checksum_errors_detected_ = 0;
   // Blocks referenced by the last committed superblock. Pinned against both
   // in-place rewrite and reallocation until the next commit (btrfs's pinned
   // extents). Empty when no superblock was ever committed, making the whole

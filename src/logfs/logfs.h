@@ -51,14 +51,11 @@ class LogFs : public FileSystem {
   LogFs(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
         uint32_t segment_blocks = 512, WritebackParams wb_params = WritebackParams());
 
-  // ---- Checksums ----
-  // Per-block CRC32C over the stored token, updated on every flush. The GC
-  // verifies victims it reads, so cleaning doubles as corruption detection.
-  static uint32_t TokenChecksum(uint64_t token);
-  bool BlockChecksumOk(BlockNo block) const;
+  // ---- Checksums (kept by FileSystem) ----
+  // The GC verifies the victims it reads, so cleaning doubles as corruption
+  // detection.
   // Flips on-disk bits without updating the checksum (failure injection).
   void CorruptBlock(BlockNo block) { InjectCorruption(block, false); }
-  uint64_t checksum_errors_detected() const { return checksum_errors_detected_; }
 
   // ---- Geometry ----
   uint32_t segment_blocks() const { return segment_blocks_; }
@@ -131,10 +128,7 @@ class LogFs : public FileSystem {
  protected:
   Result<BlockNo> AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_block) override;
   void FreeFileBlocks(InodeNo ino) override;
-  Status OnDiskBlockRead(BlockNo block, uint64_t token) override;
-  void OnBlockFlushed(BlockNo block, uint64_t token) override;
   bool BlockInUse(BlockNo block) const override { return valid_.Test(block); }
-  uint32_t StoredChecksum(BlockNo block) const override { return disk_csum_[block]; }
 
  private:
   // One past a segment's last block: the device end for a truncated tail.
@@ -163,11 +157,9 @@ class LogFs : public FileSystem {
   uint32_t segment_blocks_;
   std::vector<SegmentInfo> sit_;
   Bitmap valid_;                // block-level liveness
-  std::vector<uint32_t> disk_csum_;  // block -> CRC32C of stored token
   SegmentNo open_segment_ = 0;  // current log head segment
   uint64_t scattered_writes_ = 0;
   uint64_t scattered_scan_steps_ = 0;
-  uint64_t checksum_errors_detected_ = 0;
   // Union of the last checkpoint's referenced blocks and every block
   // written since; cleared down to the then-valid set at each checkpoint.
   // Only maintained when a durable image is attached — empty (and free)

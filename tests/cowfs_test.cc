@@ -334,7 +334,7 @@ class PageByPageCowFs : public CowFs {
     return ino;
   }
 
-  uint32_t Checksum(BlockNo block) const { return StoredChecksum(block); }
+  uint32_t Checksum(BlockNo block) const { return disk_csum_[block]; }
 
   // The namespace and extent maps as a checkpoint stores them.
   std::vector<uint8_t> Maps() const {
