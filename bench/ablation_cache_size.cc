@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     StackConfig stack = base_stack;
     stack.cache_pages =
         std::max<uint64_t>(64, static_cast<uint64_t>(ratio * static_cast<double>(data_pages)));
-    static RateTable rates(BenchRateCachePath());
+    static RateTable rates;
     MaintenanceRunResult result =
         RunAtUtil(rates, stack, Personality::kWebserver, 1.0, false, 0.5,
                   {MaintKind::kScrub}, /*use_duet=*/true);

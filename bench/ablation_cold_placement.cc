@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
       "physical placement of cold data does not affect the results",
       stack);
 
-  RateTable rates(BenchRateCachePath());
+  RateTable rates;
   TextTable table({"util", "placement", "I/O saved", "scrub finished",
                    "workload ops"});
   std::vector<double> utils{0.3, 0.5, 0.7};
@@ -22,14 +22,16 @@ int main(int argc, char** argv) {
     utils = {0.5};
   }
   for (double util : utils) {
+    // Both placements run at the rate calibrated for the interleaved layout,
+    // so they see the same offered load.
+    WorkloadConfig base =
+        MakeWorkloadConfig(stack, Personality::kWebserver, 0.5, false, 0, 42);
+    const CalibratedRate rate = rates.Get(stack, base, util);
     for (bool clustered : {false, true}) {
-      WorkloadConfig base =
-          MakeWorkloadConfig(stack, Personality::kWebserver, 0.5, false, 0, 42);
-      base.cluster_covered = clustered;
-      const CalibratedRate& rate = rates.Get(stack, base, util);
       // RunMaintenance builds its own workload config without the cluster
       // knob, so this row builds its stack directly.
       WorkloadConfig workload = base;
+      workload.cluster_covered = clustered;
       workload.ops_per_sec = rate.unthrottled ? 0 : rate.ops_per_sec;
       // A fresh context per row, so its counters cover this stack only.
       obs::ObsContext obs_ctx;

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
       "plain Duet (the paper's PACMan remark)",
       stack);
 
-  RateTable rates(BenchRateCachePath());
+  RateTable rates;
   TextTable table({"util", "plain duet saved", "informed saved", "plain done",
                    "informed done"});
   std::vector<double> utils{0.2, 0.4, 0.6, 0.8};

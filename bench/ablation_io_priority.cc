@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   StackConfig deadline = stack;
   deadline.scheduler = SchedulerKind::kDeadline;
 
-  RateTable rates(BenchRateCachePath());
+  RateTable rates;
   TextTable table({"util target", "sched", "I/O saved", "workload ops",
                    "workload latency (ms)", "scrub finished at (s)"});
   std::vector<double> utils{0.3, 0.5, 0.7};

@@ -70,12 +70,6 @@ inline StackConfig ParseStackArgs(int argc, char** argv) {
   return config;
 }
 
-// Rate cache: smoke runs stay in-memory so parallel ctest jobs never race on
-// the shared cache file (an empty path disables persistence).
-inline std::string BenchRateCachePath() {
-  return SmokeMode() ? std::string() : std::string(".duet_rate_cache");
-}
-
 // Utilization sweep in percent. Smoke mode visits only an idle and a loaded
 // point instead of the full axis.
 inline std::vector<int> UtilSweepPct(int step = 10, int max = 100) {

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   const uint64_t kFaultSeed = 7;
   const double kFaultRate = 2.0;  // mean faults/second (latent + bit rot)
 
-  RateTable rates(BenchRateCachePath());
+  RateTable rates;
   TextTable table({"util", "mode", "plan", "injected", "detected", "repaired",
                    "unrec", "MTTD (s)", "passes", "scrub I/O"});
   std::vector<double> utils{0.3, 0.5, 0.7};

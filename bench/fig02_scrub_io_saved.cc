@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       "fraction; skewed access reduces savings by 15-30%",
       stack);
 
-  RateTable rates(BenchRateCachePath());
+  RateTable rates;
   std::vector<std::string> headers{"util"};
   for (double overlap : OverlapSweep()) {
     headers.push_back(StrFormat("overlap %.0f%%", overlap * 100));

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
       "write-heavy workloads break snapshot sharing and save less",
       stack);
 
-  RateTable rates(BenchRateCachePath());
+  RateTable rates;
   std::vector<std::string> headers{"util"};
   for (double overlap : OverlapSweep()) {
     headers.push_back(StrFormat("overlap %.0f%%", overlap * 100));

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       "70-90% depending on overlap",
       stack);
 
-  RateTable rates(BenchRateCachePath());
+  RateTable rates;
   TextTable table({"util", "baseline done", "duet done (50% ovl)",
                    "duet done (100% ovl)"});
   for (int util_pct : UtilSweepPct()) {

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
       stack);
 
   constexpr double kFrag = 0.1;
-  RateTable rates(BenchRateCachePath());
+  RateTable rates;
   // Smoke keeps one series; the full grid covers the paper's four.
   std::vector<std::pair<Personality, double>> series{
       {Personality::kWebserver, 0.5},

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
       stack);
 
   constexpr double kFrag = 0.1;
-  RateTable rates(BenchRateCachePath());
+  RateTable rates;
   TextTable table({"util", "baseline done", "duet done"});
   for (int util_pct : UtilSweepPct()) {
     double util = util_pct / 100.0;

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   StackConfig ssd = stack;
   ssd.device = DeviceKind::kSsd;
 
-  RateTable rates(BenchRateCachePath());
+  RateTable rates;
   TextTable table({"util", "scrub hdd", "scrub ssd", "backup hdd", "backup ssd"});
   for (int util_pct : UtilSweepPct(20)) {
     double util = util_pct / 100.0;

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
       stack);
 
   constexpr double kFrag = 0.1;
-  RateTable rates(BenchRateCachePath());
+  RateTable rates;
   std::vector<std::pair<Personality, bool>> series{
       {Personality::kWebserver, false},
       {Personality::kWebserver, true},

@@ -202,7 +202,7 @@ Measurement MeasureCrc32c(uint64_t iters) {
 }
 
 Measurement MeasureScrubRun(const StackConfig& stack) {
-  RateTable rates((std::string()));  // in-memory rate cache
+  RateTable rates;
   auto start = Clock::now();
   MaintenanceRunResult result =
       RunAtUtil(rates, stack, Personality::kWebserver, /*coverage=*/1.0,

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     task_kinds = {MaintKind::kScrub};
   }
 
-  RateTable rates(BenchRateCachePath());
+  RateTable rates;
   TextTable table({"workload", "overlap", "distribution", "scrub base", "scrub duet",
                    "backup base", "backup duet", "defrag base", "defrag duet"});
   for (const Row& row : rows) {

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       "70% as more victim blocks are cached",
       stack);
 
-  RateTable rates(BenchRateCachePath());
+  RateTable rates;
   TextTable table({"utilization", "distribution", "baseline (ms)", "duet (ms)",
                    "base cached", "duet cached"});
   auto fmt = [](const GcRunResult& r) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <string_view>
 #include <vector>
 
 #include "src/obs/obs.h"
@@ -200,73 +199,6 @@ CalibratedRate CalibrateRate(const StackConfig& stack, const WorkloadConfig& bas
     }
     probes[open].util = measure(probes[open].rate, nullptr);
   }
-}
-
-namespace {
-
-// Leads every key of the rate cache file. Entries under any other prefix
-// (older formats, such as the lossy %.6f one) are ignored.
-constexpr char kRateCacheVersion[] = "v2|";
-
-}  // namespace
-
-RateTable::RateTable(std::string cache_path) : cache_path_(std::move(cache_path)) {
-  FILE* f = fopen(cache_path_.c_str(), "r");
-  if (f == nullptr) {
-    return;
-  }
-  char key[512];
-  double ops = 0;
-  int unthrottled = 0;
-  double achieved = 0;
-  while (fscanf(f, "%511s %lf %d %lf", key, &ops, &unthrottled, &achieved) == 4) {
-    if (std::string_view(key).substr(0, sizeof(kRateCacheVersion) - 1) !=
-        kRateCacheVersion) {
-      continue;
-    }
-    CalibratedRate rate;
-    rate.ops_per_sec = ops;
-    rate.unthrottled = unthrottled != 0;
-    rate.achieved_util = achieved;
-    cache_.emplace(key, rate);
-  }
-  fclose(f);
-}
-
-RateTable::~RateTable() {
-  if (cache_path_.empty() || !dirty_) {
-    return;
-  }
-  FILE* f = fopen(cache_path_.c_str(), "w");
-  if (f == nullptr) {
-    return;
-  }
-  // %a is exact, and fscanf's %lf reads it back bit for bit.
-  for (const auto& [key, rate] : cache_) {
-    fprintf(f, "%s %a %d %a\n", key.c_str(), rate.ops_per_sec,
-            rate.unthrottled ? 1 : 0, rate.achieved_util);
-  }
-  fclose(f);
-}
-
-const CalibratedRate& RateTable::Get(const StackConfig& stack,
-                                     const WorkloadConfig& base, double target_util) {
-  std::string key = StrFormat(
-      "%s%d|%d|%llu|%llu|%s|%.3f|%d|%.3f|%.2f|%llu", kRateCacheVersion,
-      static_cast<int>(stack.device), static_cast<int>(stack.scheduler),
-      static_cast<unsigned long long>(stack.capacity_blocks),
-      static_cast<unsigned long long>(stack.cache_pages),
-      PersonalityName(base.personality), base.coverage, base.skewed ? 1 : 0,
-      base.fragmented_fraction, target_util,
-      static_cast<unsigned long long>(base.seed));
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    it = cache_.emplace(key, CalibrateRate(stack, base, target_util, Seconds(12),
-                                           &probes_))
-             .first;
-    dirty_ = true;
-  }
-  return it->second;
 }
 
 }  // namespace duet

@@ -5,7 +5,6 @@
 #ifndef SRC_HARNESS_CALIBRATE_H_
 #define SRC_HARNESS_CALIBRATE_H_
 
-#include <map>
 #include <string>
 #include <unordered_map>
 
@@ -61,26 +60,19 @@ CalibratedRate CalibrateRate(const StackConfig& stack, const WorkloadConfig& bas
                              SimDuration profile_window = Seconds(12),
                              ProbeMemo* memo = nullptr);
 
-// Memoizes calibration results across runs of a bench binary: calibration is
-// deterministic given (stack, workload, target), so each combination is
-// profiled once, and the probes of all combinations share one ProbeMemo.
+// Calibrates for the bench binaries, sharing one ProbeMemo across every
+// (stack, workload, target) combination a binary asks for. The memo is keyed
+// by every config field, so a repeated combination replays its earlier
+// calibration exactly without running a probe, and a new target reuses every
+// probe it shares with earlier ones. Nothing is kept across processes.
 class RateTable {
  public:
-  RateTable() = default;
-  // With a path, previously saved calibrations are loaded, and new ones are
-  // appended on destruction — bench binaries share one cache file. Rates are
-  // stored as hex floats, so a loaded rate is bit-identical to a calibrated
-  // one; entries written in another format version are ignored.
-  explicit RateTable(std::string cache_path);
-  ~RateTable();
-
-  const CalibratedRate& Get(const StackConfig& stack, const WorkloadConfig& base,
-                            double target_util);
+  CalibratedRate Get(const StackConfig& stack, const WorkloadConfig& base,
+                     double target_util) {
+    return CalibrateRate(stack, base, target_util, Seconds(12), &probes_);
+  }
 
  private:
-  std::string cache_path_;
-  bool dirty_ = false;
-  std::map<std::string, CalibratedRate> cache_;
   ProbeMemo probes_;
 };
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -192,73 +191,30 @@ TEST(CalibrateExactTest, TargetBelowEveryProbeRunsStoppedProbesToTheEnd) {
 }
 
 // RateTable shares one probe memo across targets; each rate must still be
-// the one a fresh, memo-free calibration returns.
+// the one a fresh, memo-free calibration returns, and asking again replays
+// the earlier calibration bit for bit without running a probe.
 TEST(CalibrateExactTest, RateTableMemoMatchesFreshCalibration) {
   StackConfig stack = TinyStack();
   WorkloadConfig base = BaseFor(stack, kWorkloads[0]);
   RateTable table;
-  for (double target : {0.6, 0.2, 0.4, 0.2, 0.9999, 0.3}) {
+  const double targets[] = {0.6, 0.2, 0.4, 0.2, 0.9999, 0.3};
+  std::vector<CalibratedRate> first;
+  for (double target : targets) {
     SCOPED_TRACE("target " + std::to_string(target));
-    ExpectSameRate(table.Get(stack, base, target),
-                   CalibrateRate(stack, base, target, Seconds(12)));
-  }
-}
-
-TEST(CalibrateExactTest, RateCacheFileRoundTripsBitwise) {
-  std::string path = ::testing::TempDir() + "rate_cache_round_trip";
-  std::remove(path.c_str());
-  StackConfig stack = TinyStack();
-  WorkloadConfig base = BaseFor(stack, kWorkloads[0]);
-  CalibratedRate cold;
-  {
-    RateTable table(path);
-    cold = table.Get(stack, base, 0.4);
+    first.push_back(table.Get(stack, base, target));
+    ExpectSameRate(first.back(), CalibrateRate(stack, base, target, Seconds(12)));
   }
   obs::ObsContext ctx;
   obs::ObsScope scope(&ctx);
-  CalibratedRate loaded;
-  {
-    RateTable warm(path);
-    loaded = warm.Get(stack, base, 0.4);
+  for (size_t i = 0; i < first.size(); ++i) {
+    SCOPED_TRACE("repeated target " + std::to_string(targets[i]));
+    CalibratedRate again = table.Get(stack, base, targets[i]);
+    EXPECT_EQ(std::memcmp(&again.ops_per_sec, &first[i].ops_per_sec, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&again.achieved_util, &first[i].achieved_util, sizeof(double)),
+              0);
+    EXPECT_EQ(again.unthrottled, first[i].unthrottled);
   }
-  // Served from the file: no probe ran.
   EXPECT_EQ(ctx.metrics.GetCounter("harness.calibrate.probes")->value(), 0u);
-  EXPECT_EQ(std::memcmp(&loaded.ops_per_sec, &cold.ops_per_sec, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&loaded.achieved_util, &cold.achieved_util, sizeof(double)),
-            0);
-  EXPECT_EQ(loaded.unthrottled, cold.unthrottled);
-  std::remove(path.c_str());
-}
-
-TEST(CalibrateExactTest, RateCacheIgnoresEntriesOfOtherFormats) {
-  std::string path = ::testing::TempDir() + "rate_cache_old_format";
-  std::remove(path.c_str());
-  StackConfig stack = TinyStack();
-  WorkloadConfig base = BaseFor(stack, kWorkloads[0]);
-  {
-    RateTable table(path);
-    table.Get(stack, base, 0.4);
-  }
-  // Rewrite the entry without its format version, as older files stored it,
-  // with a rate no calibration returns.
-  char key[512];
-  double ops = 0;
-  int unthrottled = 0;
-  double achieved = 0;
-  FILE* f = fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(fscanf(f, "%511s %lf %d %lf", key, &ops, &unthrottled, &achieved), 4);
-  fclose(f);
-  const char* unversioned = strchr(key, '|') + 1;
-  f = fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  fprintf(f, "%s %.6f %d %.6f\n", unversioned, 1234.5, unthrottled, achieved);
-  fclose(f);
-  {
-    RateTable stale(path);
-    EXPECT_EQ(stale.Get(stack, base, 0.4).ops_per_sec, ops);
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace
