@@ -4,8 +4,10 @@
 // on live here and nowhere else: the per-block CRC32C, verified by
 // VerifyBlock whenever a block is read from the device, and request
 // formation, where SubmitRuns turns blocks into one device request per run
-// of consecutive blocks. Concrete file systems supply block placement (COW
-// vs log-structured), their metadata, and each reader's per-block policy.
+// of consecutive blocks. The recovery protocol (Checkpoint, Mount,
+// CheckConsistency) is also written once, here. Concrete file systems supply
+// block placement (COW vs log-structured), each reader's per-block policy,
+// and their own metadata through four recovery hooks.
 //
 // All data callbacks are delivered through the event loop (never inline), so
 // task state machines cannot recurse unboundedly on all-cached reads.
@@ -16,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/block/block_device.h"
@@ -88,8 +91,10 @@ struct RawReadResult {
 
 class FileSystem : public WritebackTarget {
  public:
+  // `checkpoint_key` names the file system's two checkpoint slots in the
+  // durable image's metadata area.
   FileSystem(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
-             WritebackParams wb_params = WritebackParams());
+             WritebackParams wb_params, std::string checkpoint_key);
   ~FileSystem() override = default;
 
   FileSystem(const FileSystem&) = delete;
@@ -197,22 +202,25 @@ class FileSystem : public WritebackTarget {
   // them). Call after population, before the run starts.
   void SnapshotToDurable();
 
-  // Commits a recovery point: Sync(), then serialize metadata and write it
-  // to the image's checkpoint area (cowfs: superblock generation; logfs:
-  // checkpoint). Requires quiesced foreground writes between the internal
-  // Sync and the metadata write — the transaction-commit stall of a real
-  // COW/log file system.
-  virtual void Checkpoint(std::function<void()> done) = 0;
+  // Commits a recovery point: Sync(), then serialize the namespace, the
+  // extent maps and SerializeMeta's part into the next generation (two-slot,
+  // CRC-protected; cowfs calls it a superblock, logfs a checkpoint), written
+  // after MetaIoLatency. Requires quiesced foreground writes between the
+  // internal Sync and the metadata write — the transaction-commit stall of a
+  // real COW/log file system — and an attached durable image.
+  void Checkpoint(std::function<void()> done);
 
-  // Mount-time recovery: rebuilds all in-memory state from the durable
-  // image. Must be called on a freshly constructed file system (empty
-  // namespace).
-  virtual void Mount(std::function<void(const MountReport&)> cb) = 0;
+  // Mount-time recovery: loads the newest valid generation, restores the
+  // namespace and extent maps, then RestoreMeta's part; charges
+  // MetaIoLatency and reads back the blocks RestoreMeta names. Must be
+  // called on a freshly constructed file system (empty namespace).
+  void Mount(std::function<void(const MountReport&)> cb);
 
-  // fsck: verifies refcounts, allocation bitmaps, forward/reverse extent
-  // maps, and per-block CRC32C of every in-use block. Pure in-memory check
+  // fsck: every live file page mapped to an in-use block the reverse map
+  // agrees with, no extent map without its file, CheckMeta's checks, the
+  // CRC32C of every in-use block, and the in-use count. Pure in-memory check
   // (no modeled I/O); run it right after Mount to audit the recovered state.
-  virtual FsckReport CheckConsistency() const = 0;
+  FsckReport CheckConsistency() const;
 
   // ---- Checksums ----
   // Per-block CRC32C over the stored token, updated on every flush.
@@ -292,16 +300,29 @@ class FileSystem : public WritebackTarget {
   uint64_t SubmitRuns(std::shared_ptr<std::vector<Item>> items, BlockOf block_of,
                       IoDir dir, IoClass io_class, OnRun on_run, OnAll on_all);
 
-  // Shared checkpoint payload pieces: the namespace (inode table) and the
-  // forward extent map, in deterministic (inode-sorted) order.
+  // The checkpoint payload's shared head: the namespace (inode table) and
+  // the forward extent map, in deterministic (inode-sorted) order.
   void SerializeNamespaceAndMaps(ByteWriter* w) const;
-  // Inverse of the above; installs inodes and page->block mappings (which
-  // also rebuilds the reverse map). Returns false on a malformed payload.
-  bool RestoreNamespaceAndMaps(ByteReader* r, uint64_t* files_out);
 
-  // Shared fsck piece: every page of every live file must be mapped (no
-  // holes), its block in use, and the reverse map must agree.
-  void CheckFileMappings(FsckReport* report) const;
+  // ---- Recovery hooks implemented by cowfs / logfs ----
+
+  // Appends the file system's own checkpoint metadata; the namespace and
+  // extent maps precede it in the payload.
+  virtual void SerializeMeta(ByteWriter* w) const = 0;
+
+  // Runs once a checkpoint is durable: drops the pins recovery no longer
+  // needs.
+  virtual void OnCheckpointCommitted() = 0;
+
+  // Reads SerializeMeta's part back (the namespace and extent maps are
+  // installed) and rebuilds block-level state and content from the durable
+  // image. Blocks appended to `read_back` are read through the device
+  // before the mount completes. Returns kCorruption on a malformed payload.
+  virtual Status RestoreMeta(ByteReader* r, MountReport* report,
+                             std::vector<BlockNo>* read_back) = 0;
+
+  // The file system's own fsck checks (refcounts, bitmaps, segment table).
+  virtual void CheckMeta(FsckReport* report) const = 0;
 
   // Forward/reverse map storage shared by both file systems.
   struct FileMap {
@@ -336,6 +357,16 @@ class FileSystem : public WritebackTarget {
   Result<InodeNo> Populate(std::string_view path, uint64_t bytes, double break_prob,
                            Rng* rng);
 
+  // Inverse of SerializeNamespaceAndMaps; installs inodes and page->block
+  // mappings (which also rebuilds the reverse map). Returns false on a
+  // malformed payload.
+  bool RestoreNamespaceAndMaps(ByteReader* r, uint64_t* files_out);
+  // fsck piece: every page of every live file must be mapped (no holes),
+  // its block in use, and the reverse map must agree.
+  void CheckFileMappings(FsckReport* report) const;
+
+  const std::string checkpoint_key_;
+  uint64_t generation_ = 0;  // last committed or mounted checkpoint
   uint64_t token_counter_ = 1;
   uint64_t checksum_errors_detected_ = 0;
 };

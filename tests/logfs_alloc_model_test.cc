@@ -230,7 +230,7 @@ TEST_P(LogFsAllocModelTest, AllocatesWhatTheNaiveScanPredicts) {
       AllocView want = Snapshot(*fs);
       want.pinned = want.valid;
       bool committed = false;
-      fs->WriteCheckpoint([&](uint64_t) { committed = true; });
+      fs->Checkpoint([&] { committed = true; });
       rig->loop.Run();
       ASSERT_TRUE(committed);
       ASSERT_EQ(Diff(want, Snapshot(*fs)), "");
