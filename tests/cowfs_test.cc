@@ -225,6 +225,39 @@ TEST_F(CowFsTest, DefragCountsDirtyPagesAsSavedWrites) {
   EXPECT_EQ(fs_.cache().DirtyCount(), 0u);
 }
 
+// With fewer free blocks than the file has pages, defrag must fail and leave
+// the file and the allocator as they were, not wrap around and hand out a
+// block it has already taken.
+TEST(CowFsDefragTest, FailsWithoutSpaceAndLeavesFileUnchanged) {
+  SimRig rig(100);
+  CowFs fs(&rig.loop, &rig.device, /*cache_pages=*/128);
+  ASSERT_TRUE(fs.PopulateFile("/a", 30 * kPageSize).ok());
+  InodeNo b = *fs.PopulateFile("/b", 40 * kPageSize);
+  std::vector<BlockNo> before;
+  for (PageIdx p = 0; p < 40; ++p) {
+    before.push_back(*fs.Bmap(b, p));
+  }
+  DefragResult result;
+  bool done = false;
+  fs.DefragFile(b, IoClass::kIdle, [&](const DefragResult& r) {
+    result = r;
+    done = true;
+  });
+  rig.loop.Run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(result.status.code(), StatusCode::kNoSpace);
+  EXPECT_EQ(result.pages_written, 0u);
+  for (PageIdx p = 0; p < 40; ++p) {
+    EXPECT_EQ(*fs.Bmap(b, p), before[p]) << "page " << p;
+  }
+  EXPECT_EQ(fs.allocated_blocks(), 70u);
+  FsckReport fsck = fs.CheckConsistency();
+  EXPECT_TRUE(fsck.clean()) << fsck.structural_errors << " structural errors";
+  // The blocks defrag gave back are free again: a 30-page file fits.
+  EXPECT_TRUE(fs.PopulateFile("/c", 30 * kPageSize).ok());
+  EXPECT_TRUE(fs.CheckConsistency().clean());
+}
+
 TEST_F(CowFsTest, NextAllocatedScansPhysicalOrder) {
   InodeNo a = MakeFile("/a", 4);
   BlockNo first = *fs_.Bmap(a, 0);
