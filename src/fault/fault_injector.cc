@@ -157,7 +157,7 @@ Status FaultInjector::OnRead(BlockNo block, uint32_t count, SimTime now,
   return status;
 }
 
-void FaultInjector::ResolveFault(BlockNo block, bool via_rewrite) {
+void FaultInjector::ResolveFault(BlockNo block) {
   auto it = active_.find(block);
   if (it == active_.end()) {
     return;
@@ -173,14 +173,13 @@ void FaultInjector::ResolveFault(BlockNo block, bool via_rewrite) {
     obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFault,
                      obs::TraceKind::kFaultMasked, block);
   }
-  (void)via_rewrite;
   active_.erase(it);
 }
 
 void FaultInjector::OnWriteApplied(BlockNo block, uint32_t count, SimTime now) {
   for (BlockNo b = block; b < block + count; ++b) {
     // Rewriting the sector replaces its content: the active fault is gone.
-    ResolveFault(b, /*via_rewrite=*/true);
+    ResolveFault(b);
     // An armed torn write corrupts the freshly persisted content.
     auto torn = armed_torn_.find(b);
     if (torn != armed_torn_.end()) {
@@ -224,7 +223,7 @@ void FaultInjector::NoteUnrecoverable(BlockNo block) {
 
 void FaultInjector::OnBlockFreed(BlockNo block) {
   // A freed block no longer backs live data; its fault cannot surface again.
-  ResolveFault(block, /*via_rewrite=*/false);
+  ResolveFault(block);
 }
 
 bool FaultInjector::HasActiveFault(BlockNo block) const {

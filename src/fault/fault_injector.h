@@ -132,7 +132,7 @@ class FaultInjector {
   };
 
   void Activate(const FaultEvent& event);
-  void ResolveFault(BlockNo block, bool via_rewrite);
+  void ResolveFault(BlockNo block);
   void TriggerCrash(uint64_t source_tag);
 
   EventLoop* loop_;

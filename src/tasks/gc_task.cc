@@ -10,8 +10,6 @@ namespace {
 constexpr IoClass kIoClass = IoClass::kBestEffort;
 // Victim-search window per wake-up (§5.4).
 constexpr uint64_t kWindowSegments = 4096;
-// Clean only when free segments drop below this watermark (0 = always).
-constexpr uint64_t kFreeWatermark = 0;
 
 }  // namespace
 
@@ -80,13 +78,11 @@ bool GcTask::OnPoll() {
   if (use_duet_) {
     DrainDuetEvents();
   }
-  // Run only when the device has been idle for a while (background GC) and
-  // cleaning is actually needed.
+  // Run only when the device has been idle for a while (background GC).
   SimTime at = now();
   SimTime last_activity = log_->device().last_best_effort_activity();
   bool idle = !log_->device().busy() && at - last_activity >= config_.idle_threshold;
-  bool needed = kFreeWatermark == 0 || log_->free_segments() < kFreeWatermark;
-  if (!idle || !needed || cleaning_) {
+  if (!idle || cleaning_) {
     return true;
   }
   std::optional<SegmentNo> victim = log_->SelectVictim(

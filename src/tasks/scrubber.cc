@@ -16,8 +16,6 @@ constexpr uint32_t kSkipRunBlocks = 48;
 // Scrub reads surface in the page cache so concurrent tasks can use the
 // same pass (§6.3: scrub and backup accesses benefit each other).
 constexpr bool kPopulateCache = true;
-// Bad blocks are rewritten from an intact copy (cached page or DUP mirror).
-constexpr bool kRepair = true;
 
 }  // namespace
 
@@ -150,9 +148,9 @@ void Scrubber::OnChunkRead(BlockNo start, uint32_t count, const RawReadResult& r
     }
     ProcessNextChunk();
   });
-  if (kRepair && !result.bad_blocks.empty()) {
-    // Rewrite each bad block from an intact copy; blocks with no intact
-    // copy are reported unrecoverable. The repair counts even if the run
+  if (!result.bad_blocks.empty()) {
+    // Rewrite each bad block from an intact copy (cached page or DUP
+    // mirror); blocks with no intact copy are reported unrecoverable. The repair counts even if the run
     // ended meanwhile: the blocks were rewritten.
     cow_->RepairBlocks(result.bad_blocks, kIoClass,
                        [this, resume](const CowFs::RepairResult& r) {
