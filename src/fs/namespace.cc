@@ -205,19 +205,48 @@ void Namespace::RestoreInode(InodeNo ino, FileType type, uint64_t size,
   inodes_[ino] = std::move(inode);
 }
 
-void Namespace::RestoreLinks(InodeNo next_ino) {
+Status Namespace::RestoreLinks(InodeNo next_ino) {
   for (auto& [ino, inode] : inodes_) {
     inode.children.clear();
   }
+  if (!Get(kRootIno)->is_dir()) {
+    return Status(StatusCode::kCorruption, "root is not a directory");
+  }
   for (auto& [ino, inode] : inodes_) {
+    if (ino == kInvalidInode || ino >= next_ino) {
+      return Status(StatusCode::kCorruption, "inode number out of range");
+    }
     if (ino == kRootIno) {
       continue;
     }
     Inode* parent = GetMutable(inode.parent);
-    assert(parent != nullptr && parent->is_dir());
-    parent->children.emplace(inode.name, ino);
+    if (parent == nullptr || !parent->is_dir()) {
+      return Status(StatusCode::kCorruption, "parent missing or not a directory");
+    }
+    if (!parent->children.emplace(inode.name, ino).second) {
+      return Status(StatusCode::kCorruption, "duplicate name in a directory");
+    }
+  }
+  // Each inode is linked under its one parent, so the walk from the root
+  // visits a tree; an inode it misses sits on a parent cycle.
+  uint64_t reached = 1;
+  std::vector<const Inode*> dirs{Get(kRootIno)};
+  while (!dirs.empty()) {
+    const Inode* dir = dirs.back();
+    dirs.pop_back();
+    for (const auto& [name, child_ino] : dir->children) {
+      ++reached;
+      const Inode* child = Get(child_ino);
+      if (child->is_dir()) {
+        dirs.push_back(child);
+      }
+    }
+  }
+  if (reached != inodes_.size()) {
+    return Status(StatusCode::kCorruption, "inode detached from the root");
   }
   next_ino_ = next_ino;
+  return Status::Ok();
 }
 
 bool Namespace::WalkImpl(const Inode& dir,

@@ -65,8 +65,12 @@ class Namespace {
                     std::string name);
 
   // Rebuilds every directory's children map from the restored parent/name
-  // fields and sets the next inode number to allocate.
-  void RestoreLinks(InodeNo next_ino);
+  // fields and sets the next inode number to allocate. Returns kCorruption,
+  // leaving the links partial, unless the inodes form one tree under a
+  // directory root: every other inode names an existing directory as parent
+  // and a name unique in it, is reachable from the root, and is numbered
+  // below `next_ino`.
+  Status RestoreLinks(InodeNo next_ino);
 
   // ---- Iteration ----
 
