@@ -65,7 +65,7 @@ enum class TraceKind : uint8_t {
   kTaskFinished = 18,    // a=task tag, b=work done
   kChunkStarted = 19,    // a=task tag, b=start, c=count
   kChunkFinished = 20,   // a=task tag, b=start, c=count
-  kRepair = 21,          // a=task tag, b=block, c=1 repaired / 0 unrecoverable
+  kRepair = 21,          // a=task tag, b=blocks repaired, c=blocks unrecoverable
   kRetry = 22,           // a=task tag, b=start, c=attempt
   // fault
   kFaultInjected = 23,      // a=block, b=fault kind
@@ -81,8 +81,8 @@ enum class TraceKind : uint8_t {
   kDeviceFlush = 31,        // a=blocks committed, b=image commit seq
   kCrashTriggered = 32,     // a=device ops dispatched, b=crash kind tag
   kCheckpointCommit = 33,   // a=generation, b=bytes, c=image commit seq
-  kMountRecovered = 34,     // a=generation, b=blocks replayed, c=discarded
-  kFsckRan = 35,            // a=structural errors, b=checksum errors
+  kMountRecovered = 34,     // a=generation, b=blocks restored, c=discarded
+  kFsckRan = 35,            // a=structural errors, b=checksum errors, c=blocks checked
 };
 
 const char* TraceLayerName(TraceLayer layer);
